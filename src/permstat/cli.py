@@ -321,15 +321,7 @@ def _cmd_classes(args):
         "candidates": sorted(_fmt_set(c) for c in candidates),
     }
     report = wilf_engine.st_wilf_classes(candidates, stat, args.nmax)
-    result = {
-        "n_range": list(report.n_range),
-        "classes": [[_fmt_set(member) for member in cls] for cls in report.classes],
-        "witness_polynomials": {
-            _fmt_set(pi): [list(poly.coeffs) for poly in polys]
-            for pi, polys in sorted(report.witness_polynomials.items(), key=lambda kv: sorted(kv[0]))
-        },
-    }
-    return params, result, EXIT_PASS
+    return params, _report_payload(report), EXIT_PASS
 
 
 def _require(args, name: str):

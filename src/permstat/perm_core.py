@@ -14,10 +14,9 @@ frozenset, so duplicates collapse and order is irrelevant.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 Permutation = tuple[int, ...]
-PatternSet = "frozenset[Permutation]"
 
 
 def is_permutation(word: Sequence[int]) -> bool:
@@ -91,120 +90,74 @@ def normalize_patterns(patterns: Iterable[Sequence[int]]) -> frozenset[Permutati
     return frozenset(check_permutation(t) for t in patterns)
 
 
-def _creates3(prefix: Sequence[int], k: int, v: int, pattern: Permutation) -> bool:
-    """Does appending v to prefix[:k] complete a copy of a length-3 pattern?
+def _forbidden_step(pattern: Permutation, n: int) -> Callable[[Sequence[int], int, int, int], int]:
+    """Build the forbidden-value update of one pattern of length >= 2.
 
-    Single left-to-right scan; v plays the pattern's final letter.
-    """
-    if k < 2:
-        return False
-    if pattern == (1, 2, 3):  # want x < y < v to the left
-        lo = float("inf")
-        for j in range(k):
-            c = prefix[j]
-            if c < v and lo < c:
-                return True
-            if c < lo:
-                lo = c
-    elif pattern == (3, 2, 1):  # want x > y > v
-        hi = 0
-        for j in range(k):
-            c = prefix[j]
-            if c > v and hi > c:
-                return True
-            if c > hi:
-                hi = c
-    elif pattern == (1, 3, 2):  # want x < v, then y > v
-        lo = float("inf")
-        for j in range(k):
-            c = prefix[j]
-            if c > v and lo < v:
-                return True
-            if c < lo:
-                lo = c
-    elif pattern == (2, 1, 3):  # want a descent x > y below v
-        hi_below = 0
-        for j in range(k):
-            c = prefix[j]
-            if c < v:
-                if hi_below > c:
-                    return True
-                if c > hi_below:
-                    hi_below = c
-    elif pattern == (2, 3, 1):  # want an ascent x < y above v
-        lo_above = float("inf")
-        for j in range(k):
-            c = prefix[j]
-            if c > v:
-                if lo_above < c:
-                    return True
-                if c < lo_above:
-                    lo_above = c
-    elif pattern == (3, 1, 2):  # want x > v, then y < v
-        hi = 0
-        for j in range(k):
-            c = prefix[j]
-            if c < v and hi > v:
-                return True
-            if c > hi:
-                hi = c
-    else:
-        raise ValueError(f"not a length-3 pattern: {pattern}")
-    return False
+    The returned ``step(prefix, k, used, v)`` takes the first k entries
+    of prefix, the bitmask ``used`` of their values (bit i for value i)
+    and a value v appended after them.  It returns the bitmask of values
+    w <= n such that prefix[:k] + (v, w) holds a copy of the pattern in
+    which v and w play its last two letters.  OR-ing these masks along a
+    prefix gives every value whose appending would complete a copy.
 
-
-def _creates_generic(prefix: Sequence[int], k: int, v: int, pattern: Permutation) -> bool:
-    """Backtracking version of the incremental check, for any pattern length.
-
-    Matches pattern[:-1] against prefix[:k] with v fixed as the final
-    letter, pruning any branch that breaks order-isomorphism early.
+    The values w completing a given copy of pattern[:-1] form an open
+    interval, bounded by the letters ranked just below and just above
+    the pattern's last letter (0 and n + 1 where there is none).
     """
     m = len(pattern)
-    if m == 0:
-        return True
-    if m - 1 > k:
-        return False
-    last = pattern[-1]
-    chosen: list[int] = []
+    head, c = pattern[:-1], pattern[-1]
+    lo_i = head.index(c - 1) if c > 1 else None  # letter bounding w from below
+    hi_i = head.index(c + 1) if c < m else None  # letter bounding w from above
+    top = n + 1
+    if m == 3:
+        # The copy of pattern[:-1] is (x, v) with x ranging over the earlier
+        # values X on x's side of v, so the union of the intervals takes
+        # min X or max X wherever x bounds w.
+        x_below = head[0] < head[1]
 
-    def extend(j: int, start: int) -> bool:
-        if j == m - 1:
-            return True
-        for pos in range(start, k - (m - 2 - j)):
-            c = prefix[pos]
-            if (c < v) != (pattern[j] < last):
-                continue
-            if any((c < chosen[t]) != (pattern[j] < pattern[t]) for t in range(j)):
-                continue
-            chosen.append(c)
-            if extend(j + 1, pos + 1):
-                return True
-            chosen.pop()
-        return False
+        def step3(prefix, k, used, v):
+            xs = used & ((1 << v) - 1) if x_below else used >> (v + 1) << (v + 1)
+            if not xs:
+                return 0
+            lo = v if lo_i == 1 else 0 if lo_i is None else (xs & -xs).bit_length() - 1
+            hi = v if hi_i == 1 else top if hi_i is None else xs.bit_length() - 1
+            return (1 << hi) - (1 << (lo + 1)) if hi > lo + 1 else 0
 
-    return extend(0, 0)
+        return step3
 
+    # Generic: backtrack over the copies of pattern[:-1] that end at v.  When
+    # neither bound is an earlier letter, every copy gives the same interval.
+    fixed = lo_i in (None, m - 2) and hi_i in (None, m - 2)
+    below = [h < head[-1] for h in head]
 
-def _contains_generic(p: Sequence[int], pattern: Permutation) -> bool:
-    """Reference containment test: backtracking over positions with pruning."""
-    m = len(pattern)
-    n = len(p)
-    chosen: list[int] = []
+    def step(prefix, k, used, v):
+        chosen = [0] * (m - 1)
+        chosen[-1] = v
+        mask = 0
 
-    def extend(j: int, start: int) -> bool:
-        if j == m:
-            return True
-        for pos in range(start, n - (m - 1 - j)):
-            c = p[pos]
-            if any((c < chosen[t]) != (pattern[j] < pattern[t]) for t in range(j)):
-                continue
-            chosen.append(c)
-            if extend(j + 1, pos + 1):
-                return True
-            chosen.pop()
-        return False
+        def extend(j: int, start: int) -> bool:
+            nonlocal mask
+            if j == m - 2:
+                lo = 0 if lo_i is None else chosen[lo_i]
+                hi = top if hi_i is None else chosen[hi_i]
+                if hi > lo + 1:
+                    mask |= (1 << hi) - (1 << (lo + 1))
+                return fixed
+            for pos in range(start, k - (m - 3 - j)):
+                x = prefix[pos]
+                if (x < v) != below[j]:
+                    continue
+                if any((x < chosen[i]) != (head[j] < head[i]) for i in range(j)):
+                    continue
+                chosen[j] = x
+                if extend(j + 1, pos + 1):
+                    return True
+            return False
 
-    return extend(0, 0)
+        extend(0, 0)
+        return mask
+
+    return step
 
 
 def contains_pattern(p: Sequence[int], pattern: Sequence[int]) -> bool:
@@ -212,9 +165,10 @@ def contains_pattern(p: Sequence[int], pattern: Sequence[int]) -> bool:
     True iff p has a subsequence order-isomorphic to pattern.
 
     A pattern longer than p is never contained; the empty pattern is
-    contained in everything.  Length-3 patterns take a quadratic scan,
-    anything else the generic backtracking search (the two agree, and
-    the test suite checks that exhaustively).
+    contained in everything.  One left-to-right pass keeps the bitmask
+    of values that would complete a copy, as ``enumerate_avoiders``
+    does; p contains the pattern iff some entry lands on that mask.
+    Length-3 patterns update the mask in constant time per entry.
 
     >>> contains_pattern((3, 2, 8, 5, 7, 4, 6, 1, 9), (1, 2, 3))
     True
@@ -222,14 +176,18 @@ def contains_pattern(p: Sequence[int], pattern: Sequence[int]) -> bool:
     False
     """
     pat = tuple(pattern)
-    m = len(pat)
-    if m > len(p):
+    if len(pat) > len(p):
         return False
-    if m == 0:
+    if len(pat) < 2:
         return True
-    if m == 3:
-        return any(_creates3(p, end, p[end], pat) for end in range(2, len(p)))
-    return _contains_generic(p, pat)
+    step = _forbidden_step(pat, max(p))
+    forbidden = used = 0
+    for k, v in enumerate(p):
+        if forbidden >> v & 1:
+            return True
+        forbidden |= step(p, k, used, v)
+        used |= 1 << v
+    return False
 
 
 def avoids_all(p: Sequence[int], patterns: Iterable[Sequence[int]]) -> bool:
@@ -246,12 +204,15 @@ def enumerate_avoiders(
     """
     Yield the size-n permutations avoiding every pattern, in lexicographic order.
 
-    Builds permutations prefix by prefix and never extends a prefix that
-    already contains a forbidden pattern, which is sound because containment is
-    monotone under extension.  With ``first`` set, only permutations whose
-    first entry equals it are produced: the shards for first = 1..n are
-    disjoint and their union (in that order) is the full stream, so callers
-    may enumerate shards in parallel.
+    Builds permutations prefix by prefix, carrying the bitmask of values
+    whose appending would complete a forbidden pattern.  Containment is
+    monotone under extension, so that mask only grows: a prefix whose
+    mask holds a value not yet placed can never be completed and is cut
+    at once, and every unused value is a safe next entry of a prefix
+    that survives.  With ``first`` set, only permutations whose first
+    entry equals it are produced: the shards for first = 1..n are
+    disjoint and their union (in that order) is the full stream, so
+    callers may enumerate shards in parallel.
 
     >>> list(enumerate_avoiders(3, [(3, 2, 1)]))
     [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2)]
@@ -261,32 +222,35 @@ def enumerate_avoiders(
     pats = normalize_patterns(patterns)
     if first is not None and not 1 <= first <= n:
         raise ValueError(f"first entry must lie in 1..{n}, got {first}")
-    if () in pats:
-        return  # the empty pattern occurs in every permutation, even the empty one
     live = [t for t in pats if len(t) <= n]  # longer patterns can never occur
-    prefix: list[int] = []
-    used = [False] * (n + 1)
-
-    def extend() -> Iterator[Permutation]:
-        k = len(prefix)
-        if k == n:
+    if any(len(t) < 2 for t in live):
+        return  # () occurs in every permutation, (1,) in every nonempty one
+    if n == 0:
+        yield ()
+        return
+    steps = [_forbidden_step(t, n) for t in live]
+    full = (1 << (n + 1)) - 2  # values 1..n
+    prefix = [0] * n
+    used = [0] * n  # used[k], forbidden[k]: masks of the prefix of length k
+    forbidden = [0] * n
+    todo = [0] * n  # todo[k]: values still to try at position k
+    todo[0] = full if first is None else 1 << first
+    k = 0
+    while k >= 0:
+        if not todo[k]:
+            k -= 1
+            continue
+        low = todo[k] & -todo[k]
+        todo[k] ^= low
+        v = prefix[k] = low.bit_length() - 1
+        if k == n - 1:
             yield tuple(prefix)
-            return
-        candidates: Iterable[int]
-        candidates = (first,) if k == 0 and first is not None else range(1, n + 1)
-        for v in candidates:
-            if used[v]:
-                continue
-            blocked = any(
-                _creates3(prefix, k, v, t) if len(t) == 3 else _creates_generic(prefix, k, v, t)
-                for t in live
-            )
-            if blocked:
-                continue
-            used[v] = True
-            prefix.append(v)
-            yield from extend()
-            prefix.pop()
-            used[v] = False
-
-    yield from extend()
+            continue
+        grown = used[k] | low
+        mask = forbidden[k]
+        for step in steps:
+            mask |= step(prefix, k, used[k], v)
+        if mask & ~grown:
+            continue  # dead end: some unused value can never be placed
+        k += 1
+        used[k], forbidden[k], todo[k] = grown, mask, full & ~grown

@@ -26,6 +26,15 @@ def oracle_contains(p, pattern):
     return False
 
 
+def contained_patterns(p, m):
+    """Every length-m pattern in p: the standardization of each length-m subsequence."""
+    found = set()
+    for values in itertools.combinations(p, m):
+        ranks = sorted(values)
+        found.add(tuple(ranks.index(x) + 1 for x in values))
+    return found
+
+
 def oracle_avoiders(n, patterns):
     return [
         p

@@ -17,11 +17,12 @@ from permstat import (
     is_permutation,
     reverse,
 )
-from permstat.perm_core import _contains_generic, _creates3
+from permstat.perm_core import _forbidden_step
 
-from helpers import catalan_dp, oracle_avoiders
+from helpers import catalan_dp, contained_patterns, oracle_avoiders, oracle_contains
 
 S3 = list(itertools.permutations((1, 2, 3)))
+S4 = list(itertools.permutations((1, 2, 3, 4)))
 
 
 @st.composite
@@ -99,23 +100,32 @@ def test_contains_pattern_examples():
     assert contains_pattern((), ())
 
 
-def test_length3_scan_agrees_with_generic_backtracking():
+def test_contains_pattern_agrees_with_oracle():
     for n in range(8):
         for p in all_permutations(n):
-            for pattern in S3:
-                assert contains_pattern(p, pattern) == _contains_generic(p, pattern)
+            for pattern in S3 + S4:
+                assert contains_pattern(p, pattern) == oracle_contains(p, pattern)
 
 
 def test_incremental_check_matches_whole_prefix_containment():
-    # appending v creates a copy iff the extended prefix contains one
+    # v lands on the forbidden mask of the prefix before it iff a copy ends at v
     for p in all_permutations(6):
-        for cut in range(1, 7):
-            prefix, v = p[: cut - 1], p[cut - 1]
-            for pattern in S3:
-                created = _creates3(prefix, len(prefix), v, pattern)
-                whole = contains_pattern(prefix + (v,), pattern)
-                before = contains_pattern(prefix, pattern)
+        for pattern in S3 + S4:
+            step = _forbidden_step(pattern, 6)
+            forbidden = used = 0
+            for k, v in enumerate(p):
+                prefix = p[:k]
+                created = bool(forbidden >> v & 1)
+                ends_at_v = any(
+                    oracle_contains(sub + (v,), pattern)
+                    for sub in itertools.combinations(prefix, len(pattern) - 1)
+                )
+                assert created == ends_at_v
+                whole = oracle_contains(prefix + (v,), pattern)
+                before = oracle_contains(prefix, pattern)
                 assert whole == (before or created)
+                forbidden |= step(p, k, used, v)
+                used |= 1 << v
 
 
 def test_avoids_all_examples():
@@ -168,6 +178,29 @@ def test_pruned_enumeration_equals_filtering_multi_and_long_patterns():
     for patterns in cases:
         for n in range(7):
             assert list(enumerate_avoiders(n, patterns)) == oracle_avoiders(n, patterns)
+
+
+def test_every_small_pattern_set_and_its_shards_match_filtering():
+    # the 63 nonempty subsets of S_3 and the 24 single S_4 patterns
+    pattern_sets = [c for r in range(1, 7) for c in itertools.combinations(S3, r)]
+    pattern_sets += [(t,) for t in S4]
+    assert len(pattern_sets) == 63 + 24
+    for n in range(8):
+        perms = list(all_permutations(n))
+        contained = [contained_patterns(p, 3) | contained_patterns(p, 4) for p in perms]
+        for patterns in pattern_sets:
+            expected = [p for p, seen in zip(perms, contained) if seen.isdisjoint(patterns)]
+            assert list(enumerate_avoiders(n, patterns)) == expected
+            if n:
+                shards = [enumerate_avoiders(n, patterns, first=k) for k in range(1, n + 1)]
+                assert [p for shard in shards for p in shard] == expected
+
+
+def test_dead_end_prefixes_are_cut():
+    # all 2**60 decreasing prefixes avoid 12, but only one of them completes
+    assert list(enumerate_avoiders(60, [(1, 2)])) == [tuple(range(60, 0, -1))]
+    # |Av_n(123, 132, 213)| is the Fibonacci number F_(n+1)
+    assert sum(1 for _ in enumerate_avoiders(20, [(1, 2, 3), (1, 3, 2), (2, 1, 3)])) == 10946
 
 
 def test_longer_patterns_are_vacuously_avoided():
