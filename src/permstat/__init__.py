@@ -5,8 +5,9 @@ The package computes the major index, charge, and inversion statistics,
 enumerates pattern-avoidance sets with pruning and sharding, partitions
 pattern collections into st-Wilf equivalence classes, and carries the
 tableau machinery (row insertion, ballot words, a fixed-point-free
-involution) that makes the charge polynomial over 321-avoiders cheap at
-sizes where enumeration is hopeless.
+involution, and the q-binomial closed form over two-row shapes) that
+makes the charge polynomial over 321-avoiders cheap at sizes where
+enumeration is hopeless.
 """
 
 from .errors import ExhaustionError, VerificationError
@@ -46,18 +47,22 @@ from .tableaux import (
     ballot_rank,
     ballot_to_tableau,
     ballot_unrank,
+    count_321_avoiders,
     count_two_row,
     enumerate_two_row_syt,
     fast_ch_321,
+    has_parity_pattern,
     involution_phi,
     is_ballot_word,
     is_standard_tableau,
+    parity_polynomial,
     reading_word,
     rsk_insert,
     rsk_inverse,
     syt_count_two_row_shape,
     tableau_shape,
     tableau_to_ballot,
+    two_row_maj_polynomials,
     verify_corollary9,
     verify_involution,
     verify_lemma5,

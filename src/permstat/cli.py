@@ -21,7 +21,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import factorial
 
@@ -30,6 +29,7 @@ from .errors import ExhaustionError, VerificationError
 from .perm_core import enumerate_avoiders, is_permutation
 from .statistics import (
     CHARGE,
+    MAJOR_INDEX,
     StatPolynomial,
     charge_values,
     merge_polynomials,
@@ -37,7 +37,7 @@ from .statistics import (
     stat_function,
     stat_polynomial,
 )
-from .tableaux import count_two_row, fast_ch_321, rsk_insert, syt_count_two_row_shape, tableau_shape
+from .tableaux import count_two_row, fast_ch_321, rsk_insert, tableau_shape
 
 EXIT_PASS = 0
 EXIT_ERROR = 1
@@ -231,32 +231,21 @@ def _count_shard(n, patterns, first) -> int:
     return sum(1 for _ in enumerate_avoiders(n, patterns, first=first))
 
 
-def _parallel_polynomial(n, patterns, stat, threads) -> StatPolynomial:
+def _map_shards(shard, n, threads) -> list:
+    """
+    [shard(None)] in this process, or shard(first) for first = 1..n in order
+    on a process pool of up to ``threads`` workers.
+
+    The pool module is imported only here, so commands that never start a
+    pool do not pay for the import.
+    """
     workers = min(_resolve_threads(threads), max(n, 1))
     if workers <= 1 or n < 2:
-        return stat_polynomial(n, patterns, stat)
-    shard = functools.partial(_poly_shard, n, tuple(sorted(patterns)), stat)
+        return [shard(None)]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        parts = list(pool.map(shard, range(1, n + 1)))
-    return merge_polynomials(parts)
-
-
-def _parallel_avoiders(n, patterns, threads) -> list:
-    workers = min(_resolve_threads(threads), max(n, 1))
-    if workers <= 1 or n < 2:
-        return list(enumerate_avoiders(n, patterns))
-    shard = functools.partial(_avoid_shard, n, tuple(sorted(patterns)))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [p for part in pool.map(shard, range(1, n + 1)) for p in part]
-
-
-def _parallel_count(n, patterns, threads) -> int:
-    workers = min(_resolve_threads(threads), max(n, 1))
-    if workers <= 1 or n < 2:
-        return sum(1 for _ in enumerate_avoiders(n, patterns))
-    shard = functools.partial(_count_shard, n, tuple(sorted(patterns)))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(shard, range(1, n + 1)))
+        return list(pool.map(shard, range(1, n + 1)))
 
 
 def _cmd_stat(args):
@@ -284,7 +273,8 @@ def _cmd_poly(args):
     if args.fast:
         poly = fast_ch_321(args.n)
     else:
-        poly = _parallel_polynomial(args.n, patterns, stat, args.threads)
+        shard = functools.partial(_poly_shard, args.n, tuple(sorted(patterns)), stat)
+        poly = merge_polynomials(_map_shards(shard, args.n, args.threads))
     result = {"coefficients": list(poly.coeffs), "coefficient_sum": poly.total()}
     return params, result, EXIT_PASS
 
@@ -297,10 +287,14 @@ def _cmd_avoid(args):
         "count_only": bool(args.count),
         "threads": args.threads if args.threads is not None else "auto",
     }
+    shard = _count_shard if args.count else _avoid_shard
+    parts = _map_shards(
+        functools.partial(shard, args.n, tuple(sorted(patterns))), args.n, args.threads
+    )
     if args.count:
-        result = {"count": _parallel_count(args.n, patterns, args.threads)}
+        result = {"count": sum(parts)}
     else:
-        perms = _parallel_avoiders(args.n, patterns, args.threads)
+        perms = [p for part in parts for p in part]
         result = {"count": len(perms), "permutations": [_fmt_perm(p) for p in perms]}
     return params, result, EXIT_PASS
 
@@ -373,33 +367,15 @@ def _verify_lemma5(args):
     k = _require(args, "--k")
     passed = tableaux.verify_lemma5(k)
     n = 2**k - 1
-    total = 1 + sum(syt_count_two_row_shape(n, r) ** 2 for r in range(1, n // 2 + 1))
-    return {"k": k}, {"passed": passed, "n": n, "avoider_count": total}
+    return {"k": k}, {"passed": passed, "n": n, "avoider_count": tableaux.count_321_avoiders(n)}
 
 
-def _verify_theorem8(args):
+def _verify_parity(stat, args):
     k = _require(args, "--k")
-    passed = tableaux.verify_theorem8(k)
-    poly = fast_ch_321(2**k - 1)
+    poly = tableaux.parity_polynomial(k, stat)
     return {"k": k}, {
-        "passed": passed,
-        "n": 2**k - 1,
-        "coefficients": list(poly.coeffs),
-        "coefficient_sum": poly.total(),
-    }
-
-
-def _verify_corollary9(args):
-    k = _require(args, "--k")
-    passed = tableaux.verify_corollary9(k)
-    n = 2**k - 1
-    if k <= 3:
-        poly = stat_polynomial(n, [(3, 2, 1)], "maj")
-    else:
-        poly = fast_ch_321(n)
-    return {"k": k}, {
-        "passed": passed,
-        "n": n,
+        "passed": tableaux.has_parity_pattern(poly),
+        "n": poly.n,
         "coefficients": list(poly.coeffs),
         "coefficient_sum": poly.total(),
     }
@@ -417,8 +393,8 @@ _VERIFY_TARGETS = {
     "theorem3": _verify_theorem3,
     "theorem4": _verify_theorem4,
     "lemma5": _verify_lemma5,
-    "theorem8": _verify_theorem8,
-    "corollary9": _verify_corollary9,
+    "theorem8": functools.partial(_verify_parity, CHARGE),
+    "corollary9": functools.partial(_verify_parity, MAJOR_INDEX),
     "involution": _verify_involution,
 }
 

@@ -82,10 +82,17 @@ def charge_values(p: Sequence[int]) -> dict[int, int]:
 def charge(p: Sequence[int]) -> int:
     """Total charge: the sum of all charge values.
 
+    Value i >= 2 adds n+1-i exactly when it sits left of i-1, i.e. when
+    i-1 is a descent of the inverse permutation.
+
     >>> charge((3, 2, 8, 5, 7, 4, 6, 1, 9))
     25
     """
-    return sum(charge_values(p).values())
+    n = len(p)
+    position = [0] * (n + 1)
+    for i, v in enumerate(p):
+        position[v] = i
+    return sum(n + 1 - i for i in range(2, n + 1) if position[i] < position[i - 1])
 
 
 def inversions(p: Sequence[int]) -> int:

@@ -7,32 +7,40 @@ with at most two rows is encoded by its ballot word: the {1,2}-word
 whose i-th letter names the row receiving entry i; every prefix of such
 a word has at least as many 1s as 2s.
 
-The charge statistic is constant on each Knuth class (the permutations
-sharing an insertion tableau P), and a permutation avoids 321 exactly
-when its P tableau has at most two rows.  Those two facts let the charge
-polynomial over 321-avoiders be assembled from two-row ballot words
-alone, which is what makes size 15 feasible.
+A permutation p avoids 321 exactly when its insertion tableau P has at
+most two rows.  Its charge is sum(n - d for d in Des(p^-1)), and
+Des(p^-1) = Des(P), so charge depends on P alone; that sum is
+maj(evac(P)), and evacuation permutes the tableaux of one shape.  Its
+major index is maj(Q) for the recording tableau Q.  Either way each
+shape (n-r, r) contributes f^(n-r,r) times
+sum(q**maj(T) for T of that shape), which for two rows is the
+q-binomial difference [n choose r]_q - [n choose r-1]_q.  So the charge
+and major-index polynomials over 321-avoiders are one closed form,
+exact at every size up to MAX_FAST_N without enumerating anything.
 """
 from __future__ import annotations
 
 import functools
 from bisect import bisect_left, bisect_right
+from dataclasses import replace
 from itertools import chain
 from math import comb
 from typing import Iterator, Sequence
 
 from .errors import ExhaustionError, VerificationError
 from .perm_core import Permutation, enumerate_avoiders
-from .statistics import CHARGE, MAJOR_INDEX, StatPolynomial, charge, stat_polynomial
+from .statistics import CHARGE, MAJOR_INDEX, StatPolynomial, parse_stat, stat_polynomial
 
 Tableau = tuple[tuple[int, ...], ...]
 BallotWord = tuple[int, ...]
 
 _PATTERN_321 = (3, 2, 1)
 
-# Refusal limits: beyond these the exhaustive checks would enumerate
-# hundreds of millions of objects, so they refuse instead of running.
-MAX_PARITY_K = 4
+# Refusal limits, so that no input runs for an unbounded time: the
+# closed form costs O(n**3) big-integer steps (n = 127 in a fraction of a
+# second); the involution check walks every word.
+MAX_PARITY_K = 7
+MAX_FAST_N = 2**MAX_PARITY_K - 1
 MAX_LEMMA5_K = 10
 MAX_INVOLUTION_WORDS = 2_000_000
 
@@ -320,20 +328,29 @@ def verify_involution(n: int) -> bool:
     return True
 
 
+def count_321_avoiders(n: int) -> int:
+    """
+    |Av_n(321)| as the sum of squared two-row shape counts.
+
+    One square per insertion-tableau shape (n-r, r): f choices of P
+    times f choices of Q.
+    """
+    return sum(syt_count_two_row_shape(n, r) ** 2 for r in range(n // 2 + 1))
+
+
 def verify_lemma5(k: int) -> bool:
     """
     Check that the number of 321-avoiders of size 2**k - 1 is odd.
 
-    The count is assembled as 1 + sum of squared two-row shape counts
-    (one square per insertion-tableau shape); for k <= 3 the assembly is
-    cross-checked against direct enumeration.
+    The count is assembled by count_321_avoiders; for k <= 3 the assembly
+    is cross-checked against direct enumeration.
     """
     if k < 1:
         raise ValueError("k must be positive")
     if k > MAX_LEMMA5_K:
         raise ExhaustionError(f"k={k} exceeds the supported bound {MAX_LEMMA5_K}")
     n = 2**k - 1
-    total = 1 + sum(syt_count_two_row_shape(n, r) ** 2 for r in range(1, n // 2 + 1))
+    total = count_321_avoiders(n)
     if n <= 7:
         enumerated = sum(1 for _ in enumerate_avoiders(n, [_PATTERN_321]))
         if enumerated != total:
@@ -343,73 +360,108 @@ def verify_lemma5(k: int) -> bool:
     return total % 2 == 1
 
 
+def two_row_maj_polynomials(n: int) -> list[list[int]]:
+    """
+    sum(q**maj(T) for T of shape (n-r, r)) for r = 0..n//2, lowest degree first.
+
+    Each is [n choose r]_q - [n choose r-1]_q.  The q-binomials come from
+    the product rule [n choose r] = [n choose r-1] (1 - q**(n-r+1)) / (1 - q**r),
+    one multiplication and one exact division per step, all in integers.
+
+    >>> two_row_maj_polynomials(3)
+    [[1], [0, 1, 1]]
+    """
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    prev = [1]
+    out = [prev]
+    for r in range(1, n // 2 + 1):
+        a = n - r + 1
+        cur = prev + [0] * a
+        for i, c in enumerate(prev):
+            cur[i + a] -= c
+        for i in range(r, len(cur)):  # divide by 1 - q**r
+            cur[i] += cur[i - r]
+        del cur[r * (n - r) + 1:]  # the quotient has degree r(n-r)
+        diff = cur[:]
+        for i, c in enumerate(prev):
+            diff[i] -= c
+        out.append(diff)
+        prev = cur
+    return out
+
+
 def fast_ch_321(n: int) -> StatPolynomial:
     """
     The charge polynomial over 321-avoiders of size n, without enumerating them.
 
-    Walks the two-row ballot words: each word's tableau P contributes its
-    Knuth-class charge (read off the reading word) with multiplicity equal
-    to the number of recording tableaux of its shape.  The single-row
-    tableau contributes the identity permutation at charge 0.
+    By charge(p) = sum(n - d for d in Des(p^-1)) = maj(evac(P)), a
+    321-avoider's charge is the major index of the evacuated insertion
+    tableau, evacuation permutes the tableaux of each shape, and P of
+    shape (n-r, r) pairs with f^(n-r,r) recording tableaux.  Hence
+
+        sum over r = 0..n//2 of f^(n-r,r) ([n choose r]_q - [n choose r-1]_q),
+
+    which is also the major-index polynomial (maj(p) = maj(Q)).  Refuses
+    n above MAX_FAST_N.
     """
+    if n > MAX_FAST_N:
+        raise ExhaustionError(f"n={n} exceeds the fast-route limit {MAX_FAST_N}")
+    shapes = two_row_maj_polynomials(n)
     counts = [0] * (n * (n - 1) // 2 + 1)
-    counts[0] = 1
-    for w in enumerate_two_row_syt(n):
-        rw = reading_word(ballot_to_tableau(w))
-        counts[charge(rw)] += syt_count_two_row_shape(n, w.count(2))
+    for r, shape_poly in enumerate(shapes):
+        f = syt_count_two_row_shape(n, r)
+        for i, c in enumerate(shape_poly):
+            counts[i] += f * c
     return StatPolynomial.from_counts(
         counts, n=n, patterns=[_PATTERN_321], stat=CHARGE
     )
 
 
-def _has_parity_pattern(poly: StatPolynomial) -> bool:
+def has_parity_pattern(poly: StatPolynomial) -> bool:
     """Constant coefficient 1, every higher coefficient even."""
     if not poly.coeffs or poly.coeffs[0] != 1:
         return False
     return all(c % 2 == 0 for c in poly.coeffs[1:])
 
 
-def verify_theorem8(k: int) -> bool:
+def parity_polynomial(k: int, stat: str) -> StatPolynomial:
     """
-    Parity of the charge polynomial over 321-avoiders at size 2**k - 1.
+    The charge or major-index polynomial over 321-avoiders of size 2**k - 1.
 
-    Uses the fast tableau assembly; for k <= 3 the polynomial is also
-    cross-checked against brute-force enumeration.
+    Both come from the closed form of fast_ch_321.  For k <= 3 the result
+    is cross-checked against brute-force enumeration of the named
+    statistic, beyond that its coefficient sum against the Catalan
+    number; a disagreement raises VerificationError.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
-    if k > MAX_PARITY_K:
-        raise ExhaustionError(
-            f"k={k} needs {count_two_row(2**k - 1)} ballot words; refusing beyond k={MAX_PARITY_K}"
-        )
-    n = 2**k - 1
-    poly = fast_ch_321(n)
-    if k <= 3:
-        brute = stat_polynomial(n, [_PATTERN_321], CHARGE)
-        if poly != brute:
-            raise VerificationError(
-                f"fast charge polynomial disagrees with enumeration at n={n}",
-                witness=(poly.coeffs, brute.coeffs),
-            )
-    return _has_parity_pattern(poly)
-
-
-def verify_corollary9(k: int) -> bool:
-    """
-    Parity of the major-index polynomial over 321-avoiders at size 2**k - 1.
-
-    Brute force for k <= 3.  For k = 4 the major-index and charge
-    polynomials over 321-avoiders coincide (the reverse-complement-
-    inverse map is a bijection of the avoider set carrying one statistic
-    to the other), so the fast charge assembly answers for both.
-    """
+    stat = parse_stat(stat)
+    if stat not in (CHARGE, MAJOR_INDEX):
+        raise ValueError(f"the parity checks cover charge and major index, not {stat}")
     if k < 1:
         raise ValueError("k must be positive")
     if k > MAX_PARITY_K:
         raise ExhaustionError(f"k={k} is beyond the supported bound {MAX_PARITY_K}")
     n = 2**k - 1
+    poly = replace(fast_ch_321(n), stat=stat)
     if k <= 3:
-        poly = stat_polynomial(n, [_PATTERN_321], MAJOR_INDEX)
-    else:
-        poly = fast_ch_321(n)
-    return _has_parity_pattern(poly)
+        brute = stat_polynomial(n, [_PATTERN_321], stat)
+        if poly != brute:
+            raise VerificationError(
+                f"closed-form {stat} polynomial disagrees with enumeration at n={n}",
+                witness=(poly.coeffs, brute.coeffs),
+            )
+    elif poly.total() != comb(2 * n, n) // (n + 1):
+        raise VerificationError(
+            f"coefficient sum {poly.total()} at n={n} is not the Catalan number"
+        )
+    return poly
+
+
+def verify_theorem8(k: int) -> bool:
+    """Parity of the charge polynomial over 321-avoiders at size 2**k - 1."""
+    return has_parity_pattern(parity_polynomial(k, CHARGE))
+
+
+def verify_corollary9(k: int) -> bool:
+    """Parity of the major-index polynomial over 321-avoiders at size 2**k - 1."""
+    return has_parity_pattern(parity_polynomial(k, MAJOR_INDEX))

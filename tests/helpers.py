@@ -3,12 +3,24 @@
 The oracles deliberately avoid the library's code paths: containment is
 checked over all position subsets, avoidance by filtering the full
 symmetric group, and Catalan numbers come from a lattice-path DP rather
-than a binomial formula.
+than a binomial formula.  The ballot-word walk is the one exception: it
+reuses the library's tableau steps (ballot words, reading words, charge)
+to assemble the charge polynomial over 321-avoiders one two-row tableau
+at a time, but none of the q-binomial arithmetic that it checks.
 """
 import functools
 import itertools
 
-from permstat import stat_polynomial
+from permstat import (
+    CHARGE,
+    StatPolynomial,
+    ballot_to_tableau,
+    charge,
+    enumerate_two_row_syt,
+    reading_word,
+    stat_polynomial,
+    syt_count_two_row_shape,
+)
 
 
 def oracle_contains(p, pattern):
@@ -54,6 +66,22 @@ def catalan_dp(n):
                 nxt[h - 1] = nxt.get(h - 1, 0) + count
         heights = nxt
     return heights.get(0, 0)
+
+
+def ballot_walk_ch_321(n):
+    """
+    Charge polynomial over Av_n(321) by walking the two-row ballot words.
+
+    Each word's tableau P contributes the charge of its reading word (charge
+    is constant on a Knuth class) with multiplicity the number of recording
+    tableaux of its shape; the single-row tableau contributes charge 0.
+    """
+    counts = [0] * (n * (n - 1) // 2 + 1)
+    counts[0] = 1
+    for w in enumerate_two_row_syt(n):
+        rw = reading_word(ballot_to_tableau(w))
+        counts[charge(rw)] += syt_count_two_row_shape(n, w.count(2))
+    return StatPolynomial.from_counts(counts, n=n, patterns=[(3, 2, 1)], stat=CHARGE)
 
 
 @functools.cache

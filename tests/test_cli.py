@@ -76,6 +76,9 @@ def test_poly_fast_path():
     record = run_json("poly", "--n", "15", "--avoid", "321", "--stat", "ch", "--fast")
     assert record["result"]["coefficient_sum"] == 9694845
     assert record["result"]["coefficients"][0] == 1
+    proc = run_cli("poly", "--n", "128", "--avoid", "321", "--stat", "ch", "--fast")
+    assert proc.returncode == 1
+    assert "127" in proc.stderr
 
 
 def test_poly_fast_flag_misuse():
@@ -131,6 +134,13 @@ def test_verify_theorem8():
     record = run_json("verify", "theorem8", "--k", "4")
     assert record["result"]["passed"] is True
     assert record["result"]["coefficient_sum"] == 9694845
+    record = run_json("verify", "corollary9", "--k", "7")
+    assert record["result"]["passed"] is True
+    assert record["result"]["n"] == 127
+    for target in ("theorem8", "corollary9"):
+        proc = run_cli("verify", target, "--k", "8")
+        assert proc.returncode == 1
+        assert "bound 7" in proc.stderr
 
 
 def test_verify_theorem3_and_4():

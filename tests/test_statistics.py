@@ -57,6 +57,12 @@ def test_charge_worked_example():
     assert charge((2, 1, 3)) == 2
 
 
+def test_charge_equals_the_sum_of_charge_values_exhaustively():
+    for n in range(8):
+        for p in all_permutations(n):
+            assert charge(p) == sum(charge_values(p).values()), p
+
+
 def test_inversions():
     assert inversions(identity(6)) == 0
     assert inversions((3, 2, 1)) == 3

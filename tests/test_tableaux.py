@@ -1,3 +1,4 @@
+import itertools
 from math import comb
 
 import pytest
@@ -18,19 +19,21 @@ from permstat import (
     involution_phi,
     is_ballot_word,
     is_standard_tableau,
+    parity_polynomial,
     reading_word,
     rsk_insert,
     rsk_inverse,
     syt_count_two_row_shape,
     tableau_shape,
     tableau_to_ballot,
+    two_row_maj_polynomials,
     verify_corollary9,
     verify_involution,
     verify_lemma5,
     verify_theorem8,
 )
 
-from helpers import cached_polynomial, catalan_dp
+from helpers import ballot_walk_ch_321, cached_polynomial, catalan_dp
 
 P321 = ((3, 2, 1),)
 
@@ -274,6 +277,43 @@ def test_fast_ch_321_agrees_with_enumeration():
         assert fast_ch_321(n) == cached_polynomial(n, P321, "ch")
 
 
+def test_fast_ch_321_matches_the_ballot_word_walk():
+    for n in range(16):
+        assert fast_ch_321(n) == ballot_walk_ch_321(n), n
+
+
+def test_shape_maj_polynomials_match_a_direct_tableau_walk():
+    # maj(T) sums the i with i in row 1 and i+1 in row 2
+    for n in range(13):
+        walked = {}
+        for w in itertools.product((1, 2), repeat=n):
+            if not is_ballot_word(w):
+                continue
+            maj = sum(i for i in range(1, n) if w[i - 1] == 1 and w[i] == 2)
+            counts = walked.setdefault(w.count(2), [0] * (n * n + 1))
+            counts[maj] += 1
+        shapes = two_row_maj_polynomials(n)
+        assert len(shapes) == len(walked) == n // 2 + 1
+        for r, poly in enumerate(shapes):
+            trimmed = walked[r][: max(i for i, c in enumerate(walked[r]) if c) + 1]
+            assert poly == trimmed, (n, r)
+            assert sum(poly) == syt_count_two_row_shape(n, r)
+
+
+def test_parity_theorems_beyond_the_ballot_walk():
+    for k in (5, 6, 7):
+        n = 2**k - 1
+        assert verify_theorem8(k)
+        assert verify_corollary9(k)
+        for stat in ("ch", "maj"):
+            poly = parity_polynomial(k, stat)
+            assert poly.total() == catalan_dp(n)
+            assert poly.coeffs[0] == 1
+            assert all(c % 2 == 0 for c in poly.coeffs[1:])
+    with pytest.raises(ExhaustionError):
+        fast_ch_321(128)
+
+
 def test_fast_ch_321_at_size_fifteen():
     poly = fast_ch_321(15)
     assert poly.total() == 9_694_845
@@ -300,7 +340,7 @@ def test_verify_theorem8():
     with pytest.raises(ValueError):
         verify_theorem8(0)
     with pytest.raises(ExhaustionError):
-        verify_theorem8(5)
+        verify_theorem8(8)
 
 
 def test_verify_corollary9():
@@ -309,7 +349,7 @@ def test_verify_corollary9():
     assert verify_corollary9(3)
     assert verify_corollary9(4)
     with pytest.raises(ExhaustionError):
-        verify_corollary9(5)
+        verify_corollary9(8)
 
 
 def test_major_index_equals_charge_over_321_avoiders():
