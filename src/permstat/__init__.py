@@ -55,6 +55,7 @@ from .tableaux import (
     involution_phi,
     is_ballot_word,
     is_standard_tableau,
+    lemma5_count,
     parity_polynomial,
     reading_word,
     rsk_insert,
@@ -69,11 +70,10 @@ from .tableaux import (
     verify_theorem8,
 )
 from .wilf_engine import (
-    F_CORRESPONDENCE,
+    MAX_EXHAUSTIVE,
     S3,
     WilfClassReport,
     f_image,
-    max_exhaustive,
     st_wilf_classes,
     verify_lemma1,
     verify_lemma2,

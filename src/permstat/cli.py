@@ -349,25 +349,17 @@ def _verify_lemma2(args):
     return {"n": n}, {"passed": True, "correspondence": correspondence}
 
 
-def _verify_theorem3(args):
+def _verify_classes(verifier, args):
     nmax = _require(args, "--nmax")
     stat = parse_stat(args.stat or "ch")
-    report = wilf_engine.verify_theorem3(nmax, stat)
-    return {"nmax": nmax, "stat": stat}, {"passed": True, **_report_payload(report)}
-
-
-def _verify_theorem4(args):
-    nmax = _require(args, "--nmax")
-    stat = parse_stat(args.stat or "ch")
-    report = wilf_engine.verify_theorem4(nmax, stat)
+    report = verifier(nmax, stat)
     return {"nmax": nmax, "stat": stat}, {"passed": True, **_report_payload(report)}
 
 
 def _verify_lemma5(args):
     k = _require(args, "--k")
-    passed = tableaux.verify_lemma5(k)
-    n = 2**k - 1
-    return {"k": k}, {"passed": passed, "n": n, "avoider_count": tableaux.count_321_avoiders(n)}
+    count = tableaux.lemma5_count(k)
+    return {"k": k}, {"passed": count % 2 == 1, "n": 2**k - 1, "avoider_count": count}
 
 
 def _verify_parity(stat, args):
@@ -390,8 +382,8 @@ def _verify_involution(args):
 _VERIFY_TARGETS = {
     "lemma1": _verify_lemma1,
     "lemma2": _verify_lemma2,
-    "theorem3": _verify_theorem3,
-    "theorem4": _verify_theorem4,
+    "theorem3": functools.partial(_verify_classes, wilf_engine.verify_theorem3),
+    "theorem4": functools.partial(_verify_classes, wilf_engine.verify_theorem4),
     "lemma5": _verify_lemma5,
     "theorem8": functools.partial(_verify_parity, CHARGE),
     "corollary9": functools.partial(_verify_parity, MAJOR_INDEX),

@@ -174,6 +174,8 @@ def stat_polynomial(
     start with that entry; shard polynomials merge to the full one.
     """
     canonical = parse_stat(stat)
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     pats = normalize_patterns(patterns)
     fn = _STAT_FUNCTIONS[canonical]
     counts = [0] * (n * (n - 1) // 2 + 1)  # every statistic is at most C(n, 2)

@@ -10,13 +10,14 @@ the range they were computed on.
 The composite map f (reverse, complement, invert) transports pattern
 containment: p contains t exactly when f(p) contains f(t).  It follows
 that f maps the avoiders of a pattern set onto the avoiders of its
-image set, and since f also carries the major index to charge, every
-major-index equivalence fact has a charge twin under the relabeling
-computed here.
+image set (Lemma 2), and since f also carries the major index to charge
+(Lemma 1), the major-index polynomial of a pattern set is the charge
+polynomial of its f-image.  Theorems 3 and 4 are therefore stated here
+once, for charge; the expected major-index classes are their f-images.
 """
 from __future__ import annotations
 
-import os
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -30,72 +31,34 @@ from .perm_core import (
 )
 from .statistics import CHARGE, MAJOR_INDEX, StatPolynomial, charge, major_index, parse_stat, stat_polynomial
 
-ENV_MAX_EXHAUSTIVE = "PERMSTAT_MAX_EXHAUSTIVE"
-DEFAULT_MAX_EXHAUSTIVE = 9
+# Largest n the exhaustive checks of Lemmas 1 and 2 accept (9! = 362880 permutations).
+MAX_EXHAUSTIVE = 9
 
 S3 = ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1))
 
-# Image of each length-3 pattern under f; f maps Av_n(s) onto Av_n(F_CORRESPONDENCE[s]).
-F_CORRESPONDENCE = {
-    (1, 2, 3): (1, 2, 3),
-    (1, 3, 2): (2, 1, 3),
-    (2, 1, 3): (1, 3, 2),
-    (2, 3, 1): (2, 3, 1),
-    (3, 1, 2): (3, 1, 2),
-    (3, 2, 1): (3, 2, 1),
-}
+# Theorem 3: the charge classes of the six singleton pattern sets {s}, s in S_3.
+_THEOREM3_CHARGE = (
+    ((1, 2, 3),),
+    ((1, 3, 2), (3, 1, 2)),
+    ((2, 1, 3), (2, 3, 1)),
+    ((3, 2, 1),),
+)
 
-# Singleton equivalence classes over S_3, per statistic.
-_SINGLETON_CLASSES = {
-    CHARGE: (
-        ((1, 2, 3),),
-        ((1, 3, 2), (3, 1, 2)),
-        ((2, 1, 3), (2, 3, 1)),
-        ((3, 2, 1),),
-    ),
-    MAJOR_INDEX: (
-        ((1, 2, 3),),
-        ((1, 3, 2), (2, 3, 1)),
-        ((2, 1, 3), (3, 1, 2)),
-        ((3, 2, 1),),
-    ),
-}
-
-# The lone non-singleton class among 2-subsets of S_3 (excluding {123, 321}).
-_PAIR_QUADRUPLE = {
-    CHARGE: (
-        ((1, 3, 2), (2, 1, 3)),
-        ((2, 1, 3), (3, 1, 2)),
-        ((1, 3, 2), (2, 3, 1)),
-        ((2, 3, 1), (3, 1, 2)),
-    ),
-    MAJOR_INDEX: (
-        ((1, 3, 2), (2, 1, 3)),
-        ((1, 3, 2), (3, 1, 2)),
-        ((2, 1, 3), (2, 3, 1)),
-        ((2, 3, 1), (3, 1, 2)),
-    ),
-}
+# Theorem 4: the one charge class of four among the 2-subsets of S_3
+# other than {123, 321}; every other 2-subset is a class of its own.
+_THEOREM4_CHARGE = (
+    ((1, 3, 2), (2, 1, 3)),
+    ((2, 1, 3), (3, 1, 2)),
+    ((1, 3, 2), (2, 3, 1)),
+    ((2, 3, 1), (3, 1, 2)),
+)
 
 
-def max_exhaustive() -> int:
-    """Size cap for exhaustive loops over S_n, overridable via the environment."""
-    raw = os.environ.get(ENV_MAX_EXHAUSTIVE)
-    if raw is None:
-        return DEFAULT_MAX_EXHAUSTIVE
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"{ENV_MAX_EXHAUSTIVE} must be an integer, got {raw!r}") from None
-
-
-def _check_exhaustive(n: int) -> None:
-    bound = max_exhaustive()
-    if n > bound:
-        raise ExhaustionError(
-            f"n={n} exceeds the exhaustive bound {bound} "
-            f"(raise {ENV_MAX_EXHAUSTIVE} to override)"
-        )
+def _check_size(n: int) -> None:
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    if n > MAX_EXHAUSTIVE:
+        raise ExhaustionError(f"n={n} exceeds the exhaustive bound {MAX_EXHAUSTIVE}")
 
 
 def f_image(patterns: Iterable[Sequence[int]]) -> frozenset[Permutation]:
@@ -170,29 +133,24 @@ def st_wilf_classes(
 
 def verify_lemma1(n: int) -> bool:
     """Exhaustively check maj(p) == charge(f(p)) over all of S_n."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    _check_exhaustive(n)
+    _check_size(n)
     return all(major_index(p) == charge(f_map(p)) for p in all_permutations(n))
 
 
 def verify_lemma2(n: int) -> dict[Permutation, Permutation]:
     """
-    Check that f maps each length-3 avoidance set onto the expected one.
+    Check that f maps Av_n(s) onto Av_n(f(s)) for each s in S_3.
 
-    Returns the correspondence 123->123, 132->213, 213->132, 231->231,
-    312->312, 321->321 once each image set has been materialized and
-    compared; a mismatch raises with a counterexample permutation.  (At
-    n <= 1 all six avoidance sets coincide, so the correspondence holds
-    trivially.)
+    Returns the correspondence s -> f(s) (123->123, 132->213, 213->132,
+    231->231, 312->312, 321->321) once each image set has been
+    materialized and compared; a mismatch raises with a counterexample
+    permutation.  (At n <= 1 all six avoidance sets coincide, so the
+    correspondence holds trivially.)
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    _check_exhaustive(n)
+    _check_size(n)
     avoider_sets = {s: frozenset(enumerate_avoiders(n, [s])) for s in S3}
-    mapping: dict[Permutation, Permutation] = {}
-    for source in S3:
-        target = F_CORRESPONDENCE[source]
+    mapping = {s: f_map(s) for s in S3}
+    for source, target in mapping.items():
         image = frozenset(f_map(p) for p in avoider_sets[source])
         if image != avoider_sets[target]:
             witness = min(image ^ avoider_sets[target])
@@ -201,44 +159,43 @@ def verify_lemma2(n: int) -> dict[Permutation, Permutation]:
                 f"at n={n}; counterexample {witness}",
                 witness=witness,
             )
-        mapping[source] = target
     return mapping
 
 
-def _check_against_expected(
-    report: WilfClassReport,
-    expected: tuple[tuple[Permutation, ...], ...],
+def _verify_classes(
+    candidates: Iterable[frozenset[Permutation]],
+    charge_classes: Iterable[Iterable[Iterable[Permutation]]],
     n_max: int,
-    singletons: bool,
-) -> None:
-    """Compare a computed partition with the expected one.
-
-    Below n_max = 6 accidental polynomial coincidences can merge classes,
-    so only refinement is required there: each expected class must sit
-    inside a single computed class.  From n_max = 6 on the partition must
-    match exactly.
+    stat: str,
+) -> WilfClassReport:
     """
-    def as_sets(cls: tuple[tuple[Permutation, ...], ...]) -> set[frozenset]:
-        if singletons:
-            return {frozenset(frozenset([t]) for t in c) for c in cls}
-        return {frozenset(frozenset(pair) for pair in c) for c in cls}
+    Partition the candidates and compare the result with classes stated for charge.
 
+    For the major index each expected pattern set is replaced by its
+    f-image.  Below n_max = 6 accidental polynomial coincidences can
+    merge classes, so only refinement is required there: each expected
+    class must sit inside a single computed class.  From n_max = 6 on
+    the partition must match exactly.
+    """
+    canonical = parse_stat(stat)
+    if canonical not in (CHARGE, MAJOR_INDEX):
+        raise ValueError(f"no expected classes for statistic {canonical}")
+    relabel = f_image if canonical == MAJOR_INDEX else normalize_patterns
+    expected = {frozenset(relabel(member) for member in cls) for cls in charge_classes}
+    report = st_wilf_classes(candidates, canonical, n_max)
     computed = {frozenset(c) for c in report.classes}
-    wanted = as_sets(expected)
     if n_max >= 6:
-        if computed != wanted:
+        if computed != expected:
             raise VerificationError(
                 f"class partition at n_max={n_max} does not match the expected one",
                 witness=report.classes,
             )
-    else:
-        for cls in wanted:
-            hosts = {id(c) for c in report.classes for member in cls if member in c}
-            if len(hosts) != 1:
-                raise VerificationError(
-                    f"an expected class is split at n_max={n_max}",
-                    witness=report.classes,
-                )
+    elif not all(any(cls <= c for c in computed) for cls in expected):
+        raise VerificationError(
+            f"an expected class is split at n_max={n_max}",
+            witness=report.classes,
+        )
+    return report
 
 
 def verify_theorem3(n_max: int, stat: str = CHARGE) -> WilfClassReport:
@@ -246,14 +203,11 @@ def verify_theorem3(n_max: int, stat: str = CHARGE) -> WilfClassReport:
     Classes of the six singleton length-3 pattern sets.
 
     For charge: {123}, {321}, {132, 312}, {213, 231}.  For the major
-    index the mixed classes are {132, 231} and {213, 312} instead.
+    index these are relabeled by f, so the mixed classes are {132, 231}
+    and {213, 312} instead.
     """
-    canonical = parse_stat(stat)
-    if canonical not in _SINGLETON_CLASSES:
-        raise ValueError(f"no expected singleton classes for statistic {canonical}")
-    report = st_wilf_classes(([s] for s in S3), canonical, n_max)
-    _check_against_expected(report, _SINGLETON_CLASSES[canonical], n_max, singletons=True)
-    return report
+    expected = [[[s] for s in cls] for cls in _THEOREM3_CHARGE]
+    return _verify_classes([frozenset([s]) for s in S3], expected, n_max, stat)
 
 
 def verify_theorem4(n_max: int, stat: str = CHARGE) -> WilfClassReport:
@@ -261,26 +215,13 @@ def verify_theorem4(n_max: int, stat: str = CHARGE) -> WilfClassReport:
     Classes of the fourteen 2-subsets of S_3 other than {123, 321}.
 
     Exactly one class has four members ({132,213}, {213,312}, {132,231},
-    {231,312} for charge); every other class is a singleton.
+    {231,312} for charge, their f-images for the major index); every
+    other class is a singleton.
     """
-    canonical = parse_stat(stat)
-    if canonical not in _PAIR_QUADRUPLE:
-        raise ValueError(f"no expected pair classes for statistic {canonical}")
     if n_max < 3:
         raise ValueError("n_max must be at least 3")
     excluded = frozenset({(1, 2, 3), (3, 2, 1)})
-    pairs = [
-        frozenset({S3[i], S3[j]})
-        for i in range(len(S3))
-        for j in range(i + 1, len(S3))
-    ]
-    candidates = [p for p in pairs if p != excluded]
-    report = st_wilf_classes(candidates, canonical, n_max)
-    quadruple = _PAIR_QUADRUPLE[canonical]
-    singleton_pairs = tuple(
-        (tuple(sorted(p)),) for p in candidates
-        if p not in {frozenset(q) for q in quadruple}
-    )
-    expected = (quadruple,) + singleton_pairs
-    _check_against_expected(report, expected, n_max, singletons=False)
-    return report
+    candidates = [pair for pair in map(frozenset, itertools.combinations(S3, 2)) if pair != excluded]
+    quadruple = {frozenset(pair) for pair in _THEOREM4_CHARGE}
+    expected = [quadruple] + [[pair] for pair in candidates if pair not in quadruple]
+    return _verify_classes(candidates, expected, n_max, stat)

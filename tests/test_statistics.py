@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -99,6 +100,18 @@ def test_stat_polynomial_examples():
     assert stat_polynomial(3, [(3, 2, 1)], "maj").coeffs == (1, 2, 2)
     assert stat_polynomial(0, [(3, 2, 1)], "inv").coeffs == (1,)
     assert stat_polynomial(1, [(1,)], "maj").coeffs == ()  # empty avoidance set
+
+
+def test_negative_size_is_rejected_before_the_tally_is_allocated():
+    # the tally has n(n-1)/2 + 1 slots, about 8 million at n = -4000
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="nonnegative"):
+            stat_polynomial(-4000, [(3, 2, 1)], "ch")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_stat_polynomial_against_filter_oracle():

@@ -19,6 +19,7 @@ from permstat import (
     involution_phi,
     is_ballot_word,
     is_standard_tableau,
+    lemma5_count,
     parity_polynomial,
     reading_word,
     rsk_insert,
@@ -330,6 +331,13 @@ def test_verify_lemma5():
         verify_lemma5(0)
     with pytest.raises(ExhaustionError):
         verify_lemma5(11)
+
+
+def test_lemma5_count_is_the_catalan_number():
+    for k in range(1, 6):
+        assert lemma5_count(k) == catalan_dp(2**k - 1)
+    with pytest.raises(ExhaustionError):
+        lemma5_count(11)
 
 
 def test_verify_theorem8():

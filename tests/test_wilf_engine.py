@@ -3,21 +3,31 @@ import itertools
 import pytest
 
 from permstat import (
+    MAX_EXHAUSTIVE,
     ExhaustionError,
-    F_CORRESPONDENCE,
     S3,
     VerificationError,
     f_image,
     f_map,
-    max_exhaustive,
     st_wilf_classes,
     verify_lemma1,
     verify_lemma2,
     verify_theorem3,
     verify_theorem4,
+    wilf_engine,
 )
 
 from helpers import cached_polynomial
+
+# Image of each length-3 pattern under f, written out independently of f_map.
+F_CORRESPONDENCE = {
+    (1, 2, 3): (1, 2, 3),
+    (1, 3, 2): (2, 1, 3),
+    (2, 1, 3): (1, 3, 2),
+    (2, 3, 1): (2, 3, 1),
+    (3, 1, 2): (3, 1, 2),
+    (3, 2, 1): (3, 2, 1),
+}
 
 
 def _subsets_of_s3():
@@ -116,28 +126,16 @@ def test_verify_lemma1_small_sizes():
     assert verify_lemma1(6)
 
 
-def test_verify_lemma1_respects_the_exhaustion_bound(monkeypatch):
-    monkeypatch.setenv("PERMSTAT_MAX_EXHAUSTIVE", "5")
-    assert max_exhaustive() == 5
+def test_verify_lemma1_respects_the_exhaustion_bound():
     with pytest.raises(ExhaustionError):
-        verify_lemma1(6)
-    assert verify_lemma1(5)
-    monkeypatch.setenv("PERMSTAT_MAX_EXHAUSTIVE", "not-a-number")
+        verify_lemma1(MAX_EXHAUSTIVE + 1)
     with pytest.raises(ValueError):
-        verify_lemma1(2)
+        verify_lemma1(-1)
 
 
 def test_verify_lemma2_returns_the_correspondence():
-    expected = {
-        (1, 2, 3): (1, 2, 3),
-        (1, 3, 2): (2, 1, 3),
-        (2, 1, 3): (1, 3, 2),
-        (2, 3, 1): (2, 3, 1),
-        (3, 1, 2): (3, 1, 2),
-        (3, 2, 1): (3, 2, 1),
-    }
     for n in range(7):
-        assert verify_lemma2(n) == expected
+        assert verify_lemma2(n) == F_CORRESPONDENCE
 
 
 def test_verify_theorem3_structure():
@@ -169,6 +167,28 @@ def test_verify_theorem4_structure():
         frozenset({(2, 1, 3), (2, 3, 1)}),
         frozenset({(2, 3, 1), (3, 1, 2)}),
     }
+
+
+def test_verify_theorem3_major_index_partition():
+    report = verify_theorem3(6, "maj")
+    assert {frozenset(c) for c in report.classes} == {
+        frozenset({frozenset({(1, 2, 3)})}),
+        frozenset({frozenset({(3, 2, 1)})}),
+        frozenset({frozenset({(1, 3, 2)}), frozenset({(2, 3, 1)})}),
+        frozenset({frozenset({(2, 1, 3)}), frozenset({(3, 1, 2)})}),
+    }
+
+
+def test_wrong_expected_partition_fails_both_ways(monkeypatch):
+    # a Theorem 3 table that pairs 132 with 213 instead of 312
+    wrong = (((1, 2, 3),), ((1, 3, 2), (2, 1, 3)), ((2, 3, 1), (3, 1, 2)), ((3, 2, 1),))
+    monkeypatch.setattr(wilf_engine, "_THEOREM3_CHARGE", wrong)
+    for stat in ("ch", "maj"):
+        with pytest.raises(VerificationError, match="does not match the expected one") as exc:
+            verify_theorem3(6, stat)
+        assert exc.value.witness == st_wilf_classes(([s] for s in S3), stat, 6).classes
+        with pytest.raises(VerificationError, match="is split at n_max=5"):
+            verify_theorem3(5, stat)
 
 
 def test_verify_theorem4_small_n_max_only_requires_refinement():
