@@ -1,11 +1,16 @@
 """
 Command-line front end.
 
-Every subcommand wraps one library computation and emits a single
-OutputRecord in the chosen format.  JSON output is deterministic:
-keys appear in the fixed order command, parameters, result, elapsed_ms
-(only elapsed_ms varies between identical runs), and polynomial
-coefficients are listed lowest degree first.
+Every subcommand parses its arguments, calls one library computation
+and renders one record, a dict with the keys command, parameters,
+result and elapsed_ms, in the chosen format.  Permutations and ballot
+words are validated by the library, not here.  JSON output is
+deterministic: keys keep that fixed order (only elapsed_ms varies
+between identical runs), and polynomial coefficients are listed lowest
+degree first.
+
+Enumeration runs in this process unless --threads N asks for a pool of
+N >= 2 workers.
 
 Exit codes: 0 on success, 2 when a verification ran and failed, 1 for
 usage, parse, and resource errors.
@@ -18,15 +23,13 @@ import functools
 import io
 import itertools
 import json
-import os
 import sys
 import time
-from dataclasses import dataclass
 from math import factorial
 
 from . import tableaux, wilf_engine
 from .errors import ExhaustionError, VerificationError
-from .perm_core import enumerate_avoiders, is_permutation
+from .perm_core import check_permutation, enumerate_avoiders
 from .statistics import (
     CHARGE,
     MAJOR_INDEX,
@@ -55,8 +58,8 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def parse_permutation(text: str) -> tuple[int, ...]:
-    """Parse '3,1,2' or (below size 10) the digit form '312'."""
+def parse_word(text: str) -> tuple[int, ...]:
+    """Split '3,1,2' or the digit form '312' into integers; the library validates them."""
     if text == "":
         return ()
     tokens = text.split(",") if "," in text else list(text)
@@ -64,43 +67,14 @@ def parse_permutation(text: str) -> tuple[int, ...]:
     for token in tokens:
         token = token.strip()
         if not token.isdigit():
-            raise CommandError(f"invalid permutation token {token!r} in {text!r}")
+            raise CommandError(f"invalid token {token!r} in {text!r}")
         values.append(int(token))
-    p = tuple(values)
-    if not is_permutation(p):
-        seen: set[int] = set()
-        for v in values:
-            if v in seen:
-                raise CommandError(
-                    f"invalid permutation {text!r}: value {v} appears more than once"
-                )
-            seen.add(v)
-        missing = min(set(range(1, len(p) + 1)) - seen)
-        raise CommandError(
-            f"invalid permutation {text!r}: values must cover 1..{len(p)}, missing {missing}"
-        )
-    return p
+    return tuple(values)
 
 
-def parse_ballot_word(text: str) -> tuple[int, ...]:
-    if text == "":
-        return ()
-    tokens = text.split(",") if "," in text else list(text)
-    letters = []
-    for token in tokens:
-        token = token.strip()
-        if token not in ("1", "2"):
-            raise CommandError(f"invalid ballot letter {token!r} in {text!r}")
-        letters.append(int(token))
-    word = tuple(letters)
-    balance = 0
-    for i, letter in enumerate(word):
-        balance += 1 if letter == 1 else -1
-        if balance < 0:
-            raise CommandError(
-                f"invalid ballot word {text!r}: prefix of length {i + 1} has more 2s than 1s"
-            )
-    return word
+def parse_permutation(text: str) -> tuple[int, ...]:
+    """Parse '3,1,2' or (below size 10) the digit form '312'."""
+    return check_permutation(parse_word(text))
 
 
 def _parse_pattern_flags(avoid: list[str] | None) -> frozenset[tuple[int, ...]]:
@@ -138,22 +112,6 @@ def _json_safe(value):
     return value
 
 
-@dataclass
-class OutputRecord:
-    command: str
-    parameters: dict
-    result: dict
-    elapsed_ms: int
-
-    def as_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "parameters": self.parameters,
-            "result": self.result,
-            "elapsed_ms": self.elapsed_ms,
-        }
-
-
 def _text_block(value, indent: str) -> list[str]:
     lines = []
     if isinstance(value, dict):
@@ -174,17 +132,16 @@ def _text_block(value, indent: str) -> list[str]:
     return lines
 
 
-def _render_text(record: OutputRecord) -> str:
-    lines = [f"command: {record.command}"]
-    lines.extend(_text_block(record.parameters, "  "))
+def _render_text(record: dict) -> str:
+    lines = [f"command: {record['command']}"]
+    lines.extend(_text_block(record["parameters"], "  "))
     lines.append("result:")
-    lines.extend(_text_block(record.result, "  "))
-    lines.append(f"elapsed_ms: {record.elapsed_ms}")
+    lines.extend(_text_block(record["result"], "  "))
+    lines.append(f"elapsed_ms: {record['elapsed_ms']}")
     return "\n".join(lines)
 
 
-def _csv_rows(record: OutputRecord) -> list[list]:
-    result = record.result
+def _csv_rows(result: dict) -> list[list]:
     if "coefficients" in result:
         rows = [["degree", "coefficient"]]
         rows.extend([i, c] for i, c in enumerate(result["coefficients"]))
@@ -202,21 +159,15 @@ def _csv_rows(record: OutputRecord) -> list[list]:
     return rows
 
 
-def _render(record: OutputRecord, fmt: str) -> str:
+def _render(record: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(record.as_dict(), indent=2)
+        return json.dumps(record, indent=2)
     if fmt == "csv":
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerows(_csv_rows(record))
+        writer.writerows(_csv_rows(record["result"]))
         return buffer.getvalue().rstrip("\n")
     return _render_text(record)
-
-
-def _resolve_threads(threads: int | None) -> int:
-    if threads is not None and threads < 1:
-        raise CommandError("--threads must be a positive integer")
-    return threads if threads is not None else (os.cpu_count() or 1)
 
 
 def _poly_shard(n, patterns, stat, first) -> StatPolynomial:
@@ -233,14 +184,16 @@ def _count_shard(n, patterns, first) -> int:
 
 def _map_shards(shard, n, threads) -> list:
     """
-    [shard(None)] in this process, or shard(first) for first = 1..n in order
-    on a process pool of up to ``threads`` workers.
+    [shard(None)] in this process, or, when threads >= 2, shard(first) for
+    first = 1..n in order on a process pool of up to ``threads`` workers.
 
     The pool module is imported only here, so commands that never start a
     pool do not pay for the import.
     """
-    workers = min(_resolve_threads(threads), max(n, 1))
-    if workers <= 1 or n < 2:
+    if threads < 1:
+        raise CommandError("--threads must be a positive integer")
+    workers = min(threads, n)
+    if workers < 2:
         return [shard(None)]
     from concurrent.futures import ProcessPoolExecutor
 
@@ -268,15 +221,14 @@ def _cmd_poly(args):
         "avoid": _fmt_patterns(patterns),
         "stat": stat,
         "fast": bool(args.fast),
-        "threads": args.threads if args.threads is not None else "auto",
+        "threads": args.threads,
     }
     if args.fast:
         poly = fast_ch_321(args.n)
     else:
         shard = functools.partial(_poly_shard, args.n, tuple(sorted(patterns)), stat)
         poly = merge_polynomials(_map_shards(shard, args.n, args.threads))
-    result = {"coefficients": list(poly.coeffs), "coefficient_sum": poly.total()}
-    return params, result, EXIT_PASS
+    return params, _coefficients(poly), EXIT_PASS
 
 
 def _cmd_avoid(args):
@@ -285,7 +237,7 @@ def _cmd_avoid(args):
         "n": args.n,
         "avoid": _fmt_patterns(patterns),
         "count_only": bool(args.count),
-        "threads": args.threads if args.threads is not None else "auto",
+        "threads": args.threads,
     }
     shard = _count_shard if args.count else _avoid_shard
     parts = _map_shards(
@@ -323,6 +275,10 @@ def _require(args, name: str):
     if value is None:
         raise CommandError(f"verify {args.target} requires {name}")
     return value
+
+
+def _coefficients(poly: StatPolynomial) -> dict:
+    return {"coefficients": list(poly.coeffs), "coefficient_sum": poly.total()}
 
 
 def _report_payload(report) -> dict:
@@ -365,12 +321,8 @@ def _verify_lemma5(args):
 def _verify_parity(stat, args):
     k = _require(args, "--k")
     poly = tableaux.parity_polynomial(k, stat)
-    return {"k": k}, {
-        "passed": tableaux.has_parity_pattern(poly),
-        "n": poly.n,
-        "coefficients": list(poly.coeffs),
-        "coefficient_sum": poly.total(),
-    }
+    passed = tableaux.has_parity_pattern(poly)
+    return {"k": k}, {"passed": passed, "n": poly.n, **_coefficients(poly)}
 
 
 def _verify_involution(args):
@@ -419,8 +371,8 @@ def _cmd_rsk(args):
 
 
 def _cmd_involution(args):
-    word = parse_ballot_word(args.word)
-    image = tableaux.involution_phi(word)
+    word = parse_word(args.word)
+    image = tableaux.involution_phi(word)  # validates the ballot word
     params = {"word": _fmt_word(word)}
     result = {
         "rank": tableaux.ballot_rank(word),
@@ -439,8 +391,8 @@ def _add_format(parser) -> None:
 
 def _add_threads(parser) -> None:
     parser.add_argument(
-        "--threads", type=int, default=None, metavar="N",
-        help="enumeration shards run in parallel (default: machine parallelism)",
+        "--threads", type=int, default=1, metavar="N",
+        help="run enumeration shards on a pool of N processes (default 1: no pool)",
     )
 
 
@@ -516,14 +468,11 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         params, result, code = args.handler(args)
-    except CommandError as exc:
-        print(f"permstat: error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except (ExhaustionError, ValueError) as exc:
+    except (CommandError, ExhaustionError, ValueError) as exc:
         print(f"permstat: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     elapsed_ms = int((time.perf_counter() - start) * 1000)
-    record = OutputRecord(args.command, params, result, elapsed_ms)
+    record = {"command": args.command, "parameters": params, "result": result, "elapsed_ms": elapsed_ms}
     print(_render(record, args.format))
     return code
 

@@ -30,10 +30,21 @@ def is_permutation(word: Sequence[int]) -> bool:
 
 
 def check_permutation(word: Sequence[int]) -> Permutation:
-    """Return word as a tuple, raising ValueError if it is not a permutation."""
+    """
+    Return word as a tuple, raising ValueError if it is not a permutation.
+
+    The message names the first repeated value or, failing that, the
+    smallest missing one.
+    """
     p = tuple(word)
     if not is_permutation(p):
-        raise ValueError(f"not a permutation of 1..{len(p)}: {p}")
+        seen: set[int] = set()
+        for v in p:
+            if v in seen:
+                raise ValueError(f"not a permutation: value {v} appears more than once in {p}")
+            seen.add(v)
+        missing = min(set(range(1, len(p) + 1)) - seen)
+        raise ValueError(f"not a permutation of 1..{len(p)}: missing {missing} in {p}")
     return p
 
 
@@ -164,10 +175,11 @@ def contains_pattern(p: Sequence[int], pattern: Sequence[int]) -> bool:
     """
     True iff p has a subsequence order-isomorphic to pattern.
 
-    A pattern longer than p is never contained; the empty pattern is
-    contained in everything.  One left-to-right pass keeps the bitmask
-    of values that would complete a copy, as ``enumerate_avoiders``
-    does; p contains the pattern iff some entry lands on that mask.
+    The pattern must be a permutation (ValueError otherwise).  A pattern
+    longer than p is never contained; the empty pattern is contained in
+    everything.  One left-to-right pass keeps the bitmask of values that
+    would complete a copy, as ``enumerate_avoiders`` does; p contains the
+    pattern iff some entry lands on that mask.
     Length-3 patterns update the mask in constant time per entry.
 
     >>> contains_pattern((3, 2, 8, 5, 7, 4, 6, 1, 9), (1, 2, 3))
@@ -175,7 +187,7 @@ def contains_pattern(p: Sequence[int], pattern: Sequence[int]) -> bool:
     >>> contains_pattern((3, 2, 1), (1, 2))
     False
     """
-    pat = tuple(pattern)
+    pat = check_permutation(pattern)
     if len(pat) > len(p):
         return False
     if len(pat) < 2:

@@ -142,24 +142,30 @@ def reading_word(P: Sequence[Sequence[int]]) -> Permutation:
     return tuple(chain.from_iterable(reversed(tuple(tuple(r) for r in P))))
 
 
-def is_ballot_word(word: Sequence[int]) -> bool:
+def _ballot_fault(word: Sequence[int]) -> str | None:
+    """Why word is not a ballot word: its first bad letter or unbalanced prefix."""
     balance = 0
-    for letter in word:
+    for i, letter in enumerate(word, start=1):
         if letter == 1:
             balance += 1
-        elif letter == 2:
+        elif letter != 2:
+            return f"letter {letter!r} at position {i} is not 1 or 2"
+        elif balance:
             balance -= 1
         else:
-            return False
-        if balance < 0:
-            return False
-    return True
+            return f"prefix of length {i} has more 2s than 1s"
+    return None
+
+
+def is_ballot_word(word: Sequence[int]) -> bool:
+    return _ballot_fault(word) is None
 
 
 def _check_ballot(word: Sequence[int]) -> BallotWord:
     w = tuple(word)
-    if not is_ballot_word(w):
-        raise ValueError(f"not a ballot word over {{1,2}}: {w}")
+    fault = _ballot_fault(w)
+    if fault is not None:
+        raise ValueError(f"not a ballot word over {{1,2}}: {fault}")
     return w
 
 
@@ -235,12 +241,21 @@ def syt_count_two_row_shape(n: int, r: int) -> int:
 
 @functools.cache
 def _completions(m: int, balance: int) -> int:
-    """{1,2}-words of length m keeping balance + #1s - #2s >= 0 in every prefix."""
-    if m == 0:
-        return 1
-    total = _completions(m - 1, balance + 1)
-    if balance > 0:
-        total += _completions(m - 1, balance - 1)
+    """
+    {1,2}-words of length m keeping balance + #1s - #2s >= 0 in every prefix.
+
+    By the reflection principle this is the sum of comb(m, k) over
+    top - balance <= k <= top, where top = (m + balance) // 2.  From
+    balance m on no prefix can go negative, so all 2**m words count.
+    """
+    if balance >= m:
+        return 1 << m
+    top = (m + balance) // 2
+    low = max(top - balance, 0)
+    term, total = comb(m, low), 0
+    for k in range(low, top + 1):
+        total += term
+        term = term * (m - k) // (k + 1)  # comb(m, k + 1)
     return total
 
 
@@ -249,7 +264,8 @@ def ballot_rank(word: Sequence[int]) -> int:
     Position of a two-row ballot word in the lexicographic stream of its length.
 
     The all-1s word encodes a single-row tableau and has no rank here.
-    Runs in O(n^2) via the prefix-completion table, not by enumeration.
+    Runs in O(n^2) binomial terms via the prefix-completion counts, not by
+    enumeration.
     """
     w = _check_ballot(word)
     if 2 not in w:
@@ -299,15 +315,13 @@ def involution_phi(word: Sequence[int]) -> BallotWord:
     >>> involution_phi((1, 1, 2))
     (1, 2, 1)
     """
-    w = _check_ballot(word)
-    if 2 not in w:
-        raise ValueError("word encodes a single-row tableau; the involution needs two rows")
-    m = count_two_row(len(w))
+    rank = ballot_rank(word)  # validates the word and refuses a single-row one
+    m = count_two_row(len(word))
     if m % 2 != 0:
         raise ValueError(
-            f"no fixed-point-free involution guaranteed: {m} two-row words at n={len(w)}"
+            f"no fixed-point-free involution guaranteed: {m} two-row words at n={len(word)}"
         )
-    return ballot_unrank(len(w), ballot_rank(w) ^ 1)
+    return ballot_unrank(len(word), rank ^ 1)
 
 
 def verify_involution(n: int) -> bool:

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -260,3 +261,68 @@ def test_exit_code_two_on_verification_error(monkeypatch, capsys):
     assert rc == 2
     assert record["result"]["passed"] is False
     assert record["result"]["witness"] == [2, 1]
+
+
+def test_threads_default_to_one_process():
+    record = run_json("avoid", "--n", "5", "--avoid", "321", "--count")
+    assert record["parameters"]["threads"] == 1
+    assert record["result"] == {"count": 42}
+    proc = run_cli("avoid", "--n", "5", "--avoid", "321", "--threads", "0")
+    assert proc.returncode == 1
+    assert "--threads" in proc.stderr
+
+
+def test_invalid_ballot_word_diagnostics():
+    letter = run_cli("involution", "--word", "113")
+    assert letter.returncode == 1
+    assert "letter 3 at position 3" in letter.stderr
+    prefix = run_cli("involution", "--word", "1221")
+    assert prefix.returncode == 1
+    assert "prefix of length 3" in prefix.stderr
+
+
+def test_involution_of_a_long_ballot_word():
+    # length 2**10 - 1, far beyond any recursion limit
+    record = run_json("involution", "--word", "1" * 1022 + "2")
+    assert record["result"]["rank"] == 0
+    assert record["result"]["image"] == "1" * 1021 + "21"
+    assert record["result"]["image_rank"] == 1
+
+
+def test_csv_classes_rows():
+    args = ("classes", "--stat", "ch", "--nmax", "4", "--size", "1")
+    classes = run_json(*args)["result"]["classes"]
+    proc = run_cli(*args, "--format", "csv")
+    assert proc.returncode == 0
+    rows = list(csv.reader(proc.stdout.splitlines()))
+    assert rows[0] == ["class_index", "pattern_set"]
+    assert rows[1:] == [[str(i), member] for i, cls in enumerate(classes) for member in cls]
+    assert ["1", "1,3,2"] in rows
+
+
+def test_csv_field_value_rows_for_a_verify_target():
+    proc = run_cli("verify", "lemma5", "--k", "3", "--format", "csv")
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines() == ["field,value", "passed,True", "n,7", "avoider_count,429"]
+    proc = run_cli("verify", "lemma2", "--n", "3", "--format", "csv")
+    rows = list(csv.reader(proc.stdout.splitlines()))
+    assert rows[:2] == [["field", "value"], ["passed", "True"]]
+    assert rows[2][0] == "correspondence"
+    assert json.loads(rows[2][1])["1,3,2"] == "2,1,3"
+
+
+def test_text_output_of_nested_results():
+    proc = run_cli("classes", "--stat", "ch", "--nmax", "3", "--size", "1")
+    assert proc.returncode == 0
+    lines = proc.stdout.splitlines()
+    assert lines[:5] == ["command: classes", "  stat: charge", "  nmax: 3", "  candidates:",
+                         "    1,2,3 1,3,2 2,1,3 2,3,1 3,1,2 3,2,1"]
+    classes = lines.index("  classes:")
+    assert lines[classes + 1:classes + 5] == ["    1,2,3", "    1,3,2 3,1,2", "    2,1,3 2,3,1", "    3,2,1"]
+    assert "    3,2,1:" in lines
+    assert lines[-1].startswith("elapsed_ms: ")
+    proc = run_cli("verify", "lemma2", "--n", "3")
+    lines = proc.stdout.splitlines()
+    assert lines[1:3] == ["  target: lemma2", "  n: 3"]
+    assert lines[3:6] == ["result:", "  passed: True", "  correspondence:"]
+    assert "    1,3,2: 2,1,3" in lines

@@ -45,6 +45,15 @@ def test_check_permutation_rejects_bad_input():
     assert check_permutation([2, 1]) == (2, 1)
 
 
+def test_check_permutation_names_the_fault():
+    with pytest.raises(ValueError, match="value 3 appears more than once"):
+        check_permutation((1, 3, 3))
+    with pytest.raises(ValueError, match="missing 2"):
+        check_permutation((1, 5, 3))
+    with pytest.raises(ValueError, match="missing 1"):
+        check_permutation((0, 2))
+
+
 def test_inverse_examples():
     assert inverse((1, 2, 3)) == (1, 2, 3)
     assert inverse((2, 3, 1)) == (3, 1, 2)
@@ -98,6 +107,12 @@ def test_contains_pattern_examples():
     assert not contains_pattern((1, 2), (1, 2, 3))  # pattern longer than host
     assert contains_pattern((2, 1), ())  # empty pattern sits in everything
     assert contains_pattern((), ())
+
+
+def test_contains_pattern_rejects_a_non_permutation_pattern():
+    for pattern in ((2, 2, 1), (1, 1), (0, 1), (1, 3)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            contains_pattern((1, 2, 3), pattern)
 
 
 def test_contains_pattern_agrees_with_oracle():

@@ -224,6 +224,36 @@ def test_rank_is_the_stream_index_and_unrank_inverts_it():
         ballot_unrank(4, -1)
 
 
+def test_completion_counts_match_a_path_walk():
+    from permstat.tableaux import _completions
+
+    # walks[b]: {1,2}-words of the current length that stay >= 0 from balance b
+    walks = [1] * 120
+    for m in range(60):
+        for balance in range(60):
+            assert _completions(m, balance) == walks[balance]
+        walks = [walks[b + 1] + (walks[b - 1] if b else 0) for b in range(len(walks) - 1)]
+
+
+def test_rank_and_unrank_round_trip_at_size_1023():
+    n = 2**10 - 1
+    last = count_two_row(n) - 1
+    first_word = (1,) * (n - 1) + (2,)
+    assert ballot_rank(first_word) == 0
+    assert ballot_unrank(n, 0) == first_word
+    assert ballot_unrank(n, last) == (1, 2) * (n // 2) + (1,)
+    for r in (1, 2, last // 3, last // 2, last - 1, last):
+        assert ballot_rank(ballot_unrank(n, r)) == r
+    assert involution_phi(involution_phi(first_word)) == first_word
+
+
+def test_ballot_diagnostics_name_the_fault():
+    with pytest.raises(ValueError, match="letter 3 at position 2"):
+        ballot_rank((1, 3, 2))
+    with pytest.raises(ValueError, match="prefix of length 3 has more 2s than 1s"):
+        involution_phi((1, 2, 2, 1))
+
+
 def test_involution_small_pairing():
     assert involution_phi((1, 1, 2)) == (1, 2, 1)
     assert involution_phi((1, 2, 1)) == (1, 1, 2)
