@@ -47,7 +47,6 @@ from .tableaux import (
     ballot_rank,
     ballot_to_tableau,
     ballot_unrank,
-    count_321_avoiders,
     count_two_row,
     enumerate_two_row_syt,
     fast_ch_321,

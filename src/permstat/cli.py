@@ -3,14 +3,15 @@ Command-line front end.
 
 Every subcommand parses its arguments, calls one library computation
 and renders one record, a dict with the keys command, parameters,
-result and elapsed_ms, in the chosen format.  Permutations and ballot
-words are validated by the library, not here.  JSON output is
-deterministic: keys keep that fixed order (only elapsed_ms varies
-between identical runs), and polynomial coefficients are listed lowest
-degree first.
+result and elapsed_ms, in the chosen format.  The library validates
+permutations and ballot words; argparse checks every other flag.  JSON
+output is deterministic: keys keep that fixed order (only elapsed_ms
+varies between identical runs), and polynomial coefficients are listed
+lowest degree first.
 
 Enumeration runs in this process unless --threads N asks for a pool of
-N >= 2 workers.
+N >= 2 workers.  --fast excludes --threads, --candidate excludes --size,
+and each verify target takes only its own flag, with --format after it.
 
 Exit codes: 0 on success, 2 when a verification ran and failed, 1 for
 usage, parse, and resource errors.
@@ -18,7 +19,6 @@ usage, parse, and resource errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import io
 import itertools
@@ -75,6 +75,19 @@ def parse_word(text: str) -> tuple[int, ...]:
 def parse_permutation(text: str) -> tuple[int, ...]:
     """Parse '3,1,2' or (below size 10) the digit form '312'."""
     return check_permutation(parse_word(text))
+
+
+def _stat_name(text: str) -> str:
+    try:
+        return parse_stat(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
 
 
 def _parse_pattern_flags(avoid: list[str] | None) -> frozenset[tuple[int, ...]]:
@@ -163,6 +176,7 @@ def _render(record: dict, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(record, indent=2)
     if fmt == "csv":
+        import csv  # only here, so JSON and text output do not pay for it
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
         writer.writerows(_csv_rows(record["result"]))
@@ -190,8 +204,6 @@ def _map_shards(shard, n, threads) -> list:
     The pool module is imported only here, so commands that never start a
     pool do not pay for the import.
     """
-    if threads < 1:
-        raise CommandError("--threads must be a positive integer")
     workers = min(threads, n)
     if workers < 2:
         return [shard(None)]
@@ -203,30 +215,28 @@ def _map_shards(shard, n, threads) -> list:
 
 def _cmd_stat(args):
     p = parse_permutation(args.perm)
-    stat = parse_stat(args.stat)
-    params = {"perm": _fmt_perm(p), "stat": stat}
-    result = {"value": stat_function(stat)(p)}
-    if stat == CHARGE:
+    params = {"perm": _fmt_perm(p), "stat": args.stat}
+    result = {"value": stat_function(args.stat)(p)}
+    if args.stat == CHARGE:
         result["charge_values"] = {str(v): c for v, c in sorted(charge_values(p).items())}
     return params, result, EXIT_PASS
 
 
 def _cmd_poly(args):
     patterns = _parse_pattern_flags(args.avoid)
-    stat = parse_stat(args.stat)
-    if args.fast and (stat != CHARGE or patterns != frozenset({(3, 2, 1)})):
+    if args.fast and (args.stat != CHARGE or patterns != frozenset({(3, 2, 1)})):
         raise CommandError("--fast applies only to --stat ch with exactly --avoid 321")
     params = {
         "n": args.n,
         "avoid": _fmt_patterns(patterns),
-        "stat": stat,
+        "stat": args.stat,
         "fast": bool(args.fast),
         "threads": args.threads,
     }
     if args.fast:
         poly = fast_ch_321(args.n)
     else:
-        shard = functools.partial(_poly_shard, args.n, tuple(sorted(patterns)), stat)
+        shard = functools.partial(_poly_shard, args.n, tuple(sorted(patterns)), args.stat)
         poly = merge_polynomials(_map_shards(shard, args.n, args.threads))
     return params, _coefficients(poly), EXIT_PASS
 
@@ -252,29 +262,19 @@ def _cmd_avoid(args):
 
 
 def _cmd_classes(args):
-    stat = parse_stat(args.stat)
     if args.candidate:
         candidates = [_parse_patternset(text) for text in args.candidate]
     else:
-        if not 1 <= args.size <= 6:
-            raise CommandError("--size must be between 1 and 6")
         candidates = [
             frozenset(c) for c in itertools.combinations(wilf_engine.S3, args.size)
         ]
     params = {
-        "stat": stat,
+        "stat": args.stat,
         "nmax": args.nmax,
         "candidates": sorted(_fmt_set(c) for c in candidates),
     }
-    report = wilf_engine.st_wilf_classes(candidates, stat, args.nmax)
+    report = wilf_engine.st_wilf_classes(candidates, args.stat, args.nmax)
     return params, _report_payload(report), EXIT_PASS
-
-
-def _require(args, name: str):
-    value = getattr(args, name.lstrip("-").replace("-", "_"))
-    if value is None:
-        raise CommandError(f"verify {args.target} requires {name}")
-    return value
 
 
 def _coefficients(poly: StatPolynomial) -> dict:
@@ -292,70 +292,60 @@ def _report_payload(report) -> dict:
     }
 
 
-def _verify_lemma1(args):
-    n = _require(args, "--n")
-    passed = wilf_engine.verify_lemma1(n)
-    return {"n": n}, {"passed": passed, "permutations_checked": factorial(n)}
+def _verify_lemma1(n):
+    return {"passed": wilf_engine.verify_lemma1(n), "permutations_checked": factorial(n)}
 
 
-def _verify_lemma2(args):
-    n = _require(args, "--n")
+def _verify_lemma2(n):
     mapping = wilf_engine.verify_lemma2(n)
     correspondence = {_fmt_perm(s): _fmt_perm(t) for s, t in sorted(mapping.items())}
-    return {"n": n}, {"passed": True, "correspondence": correspondence}
+    return {"passed": True, "correspondence": correspondence}
 
 
-def _verify_classes(verifier, args):
-    nmax = _require(args, "--nmax")
-    stat = parse_stat(args.stat or "ch")
-    report = verifier(nmax, stat)
-    return {"nmax": nmax, "stat": stat}, {"passed": True, **_report_payload(report)}
+def _verify_classes(verifier, nmax, stat):
+    return {"passed": True, **_report_payload(verifier(nmax, stat))}
 
 
-def _verify_lemma5(args):
-    k = _require(args, "--k")
+def _verify_lemma5(k):
     count = tableaux.lemma5_count(k)
-    return {"k": k}, {"passed": count % 2 == 1, "n": 2**k - 1, "avoider_count": count}
+    return {"passed": count % 2 == 1, "n": 2**k - 1, "avoider_count": count}
 
 
-def _verify_parity(stat, args):
-    k = _require(args, "--k")
+def _verify_parity(stat, k):
     poly = tableaux.parity_polynomial(k, stat)
-    passed = tableaux.has_parity_pattern(poly)
-    return {"k": k}, {"passed": passed, "n": poly.n, **_coefficients(poly)}
+    return {"passed": tableaux.has_parity_pattern(poly), "n": poly.n, **_coefficients(poly)}
 
 
-def _verify_involution(args):
-    n = _require(args, "--n")
-    passed = tableaux.verify_involution(n)
-    return {"n": n}, {"passed": passed, "two_row_words": count_two_row(n)}
+def _verify_involution(n):
+    return {"passed": tableaux.verify_involution(n), "two_row_words": count_two_row(n)}
 
 
+_INT = {"type": int, "required": True}
+_STAT = {"type": _stat_name, "default": "ch", "help": "maj | ch (default ch)"}
+
+# target -> (the flags its check reads, in record order, with their declarations; the check)
 _VERIFY_TARGETS = {
-    "lemma1": _verify_lemma1,
-    "lemma2": _verify_lemma2,
-    "theorem3": functools.partial(_verify_classes, wilf_engine.verify_theorem3),
-    "theorem4": functools.partial(_verify_classes, wilf_engine.verify_theorem4),
-    "lemma5": _verify_lemma5,
-    "theorem8": functools.partial(_verify_parity, CHARGE),
-    "corollary9": functools.partial(_verify_parity, MAJOR_INDEX),
-    "involution": _verify_involution,
+    "lemma1": ({"n": _INT}, _verify_lemma1),
+    "lemma2": ({"n": _INT}, _verify_lemma2),
+    "theorem3": ({"nmax": _INT, "stat": _STAT}, functools.partial(_verify_classes, wilf_engine.verify_theorem3)),
+    "theorem4": ({"nmax": _INT, "stat": _STAT}, functools.partial(_verify_classes, wilf_engine.verify_theorem4)),
+    "lemma5": ({"k": _INT}, _verify_lemma5),
+    "theorem8": ({"k": _INT}, functools.partial(_verify_parity, CHARGE)),
+    "corollary9": ({"k": _INT}, functools.partial(_verify_parity, MAJOR_INDEX)),
+    "involution": ({"n": _INT}, _verify_involution),
 }
 
 
 def _cmd_verify(args):
-    handler = _VERIFY_TARGETS[args.target]
+    flags, check = _VERIFY_TARGETS[args.target]
+    values = {flag: getattr(args, flag) for flag in flags}
     try:
-        params, result = handler(args)
+        result = check(**values)
     except VerificationError as exc:
-        params = {"target": args.target}
         result = {"passed": False, "error": str(exc)}
         if exc.witness is not None:
             result["witness"] = _json_safe(exc.witness)
-        return params, result, EXIT_FAIL
-    params = {"target": args.target, **params}
-    code = EXIT_PASS if result.get("passed", True) else EXIT_FAIL
-    return params, result, code
+    return {"target": args.target, **values}, result, EXIT_PASS if result["passed"] else EXIT_FAIL
 
 
 def _cmd_rsk(args):
@@ -390,8 +380,10 @@ def _add_format(parser) -> None:
 
 
 def _add_threads(parser) -> None:
+    # argparse converts a string default only when the flag is absent, so a
+    # given --threads 1 still counts as given where another flag excludes it
     parser.add_argument(
-        "--threads", type=int, default=1, metavar="N",
+        "--threads", type=_positive_int, default="1", metavar="N",
         help="run enumeration shards on a pool of N processes (default 1: no pool)",
     )
 
@@ -401,20 +393,21 @@ def build_parser() -> argparse.ArgumentParser:
         prog="permstat",
         description="Permutation statistics, avoidance sets, and equivalence checks.",
     )
-    sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("stat", help="evaluate a statistic on one permutation")
     p.add_argument("--perm", required=True, help="permutation, e.g. 3,2,8,5,7,4,6,1,9 (digit form ok below size 10)")
-    p.add_argument("--stat", required=True, help="maj | ch | inv")
+    p.add_argument("--stat", required=True, type=_stat_name, help="maj | ch | inv")
     _add_format(p)
     p.set_defaults(handler=_cmd_stat)
 
     p = sub.add_parser("poly", help="statistic generating polynomial over an avoidance set")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--avoid", action="append", metavar="PATTERN", help="forbidden pattern (repeatable)")
-    p.add_argument("--stat", required=True, help="maj | ch | inv")
-    p.add_argument("--fast", action="store_true", help="tableau route; only for --stat ch --avoid 321")
-    _add_threads(p)
+    p.add_argument("--stat", required=True, type=_stat_name, help="maj | ch | inv")
+    route = p.add_mutually_exclusive_group()
+    route.add_argument("--fast", action="store_true", help="tableau route; only for --stat ch --avoid 321")
+    _add_threads(route)
     _add_format(p)
     p.set_defaults(handler=_cmd_poly)
 
@@ -427,10 +420,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_avoid)
 
     p = sub.add_parser("classes", help="st-Wilf equivalence classes of pattern sets")
-    p.add_argument("--stat", required=True, help="maj | ch | inv")
+    p.add_argument("--stat", required=True, type=_stat_name, help="maj | ch | inv")
     p.add_argument("--nmax", type=int, required=True)
-    p.add_argument("--size", type=int, default=1, help="use all size-k subsets of S_3 (default 1)")
-    p.add_argument(
+    sets = p.add_mutually_exclusive_group()
+    # a string default for the same reason as in _add_threads
+    sets.add_argument("--size", type=int, choices=range(1, 7), default="1", help="use all size-k subsets of S_3 (default 1)")
+    sets.add_argument(
         "--candidate", action="append", metavar="SET",
         help="explicit pattern set, patterns joined by '+', e.g. 132+213 (repeatable)",
     )
@@ -438,12 +433,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_classes)
 
     p = sub.add_parser("verify", help="run a named verification")
-    p.add_argument("target", choices=sorted(_VERIFY_TARGETS))
-    p.add_argument("--n", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--nmax", type=int)
-    p.add_argument("--stat", help="maj | ch (theorem3/theorem4 only)")
-    _add_format(p)
+    targets = p.add_subparsers(dest="target", required=True)
+    for target, (flags, _) in _VERIFY_TARGETS.items():
+        t = targets.add_parser(target, allow_abbrev=False)  # else --n passes for --nmax
+        for flag, declaration in flags.items():
+            t.add_argument(f"--{flag}", **declaration)
+        _add_format(t)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("rsk", help="insertion and recording tableaux of a permutation")
@@ -460,11 +455,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_usage(sys.stderr)
-        return EXIT_ERROR
+    args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
         params, result, code = args.handler(args)

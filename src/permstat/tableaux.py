@@ -316,56 +316,51 @@ def involution_phi(word: Sequence[int]) -> BallotWord:
     (1, 2, 1)
     """
     rank = ballot_rank(word)  # validates the word and refuses a single-row one
-    m = count_two_row(len(word))
-    if m % 2 != 0:
-        raise ValueError(
-            f"no fixed-point-free involution guaranteed: {m} two-row words at n={len(word)}"
-        )
+    _pairable_count(len(word))
     return ballot_unrank(len(word), rank ^ 1)
 
 
-def verify_involution(n: int) -> bool:
-    """Check the involution laws over every two-row word of length n."""
+def _pairable_count(n: int) -> int:
+    """The number of two-row words of length n, refused unless it is even."""
     m = count_two_row(n)
     if m % 2 != 0:
-        raise ValueError(
-            f"no fixed-point-free involution guaranteed: {m} two-row words at n={n}"
-        )
+        raise ValueError(f"no fixed-point-free involution guaranteed: {m} two-row words at n={n}")
+    return m
+
+
+def verify_involution(n: int) -> bool:
+    """Check that the involution swaps each lexicographic pair (ranks 2t, 2t+1) of length n."""
+    m = _pairable_count(n)
     if m > MAX_INVOLUTION_WORDS:
         raise ExhaustionError(f"{m} two-row words at n={n} exceeds the exhaustive limit")
-    for w in enumerate_two_row_syt(n):
-        image = involution_phi(w)
-        if image == w:
-            raise VerificationError(f"fixed point at {w}", witness=w)
-        if involution_phi(image) != w:
-            raise VerificationError(f"not an involution at {w}", witness=w)
+    words = enumerate_two_row_syt(n)
+    for a, b in zip(words, words):  # one iterator twice: consecutive pairs
+        for w, image in ((a, b), (b, a)):
+            if involution_phi(w) != image:
+                raise VerificationError(f"{w} does not map to its partner {image}", witness=w)
     return True
 
 
-def count_321_avoiders(n: int) -> int:
-    """
-    |Av_n(321)| as the sum of squared two-row shape counts.
-
-    One square per insertion-tableau shape (n-r, r): f choices of P
-    times f choices of Q.
-    """
-    return sum(syt_count_two_row_shape(n, r) ** 2 for r in range(n // 2 + 1))
+def _parity_size(k: int, bound: int) -> int:
+    """The size 2**k - 1 of the parity statements, for k in 1..bound."""
+    if k < 1:
+        raise ValueError("k must be positive")
+    if k > bound:
+        raise ExhaustionError(f"k={k} exceeds the supported bound {bound}")
+    return 2**k - 1
 
 
 def lemma5_count(k: int) -> int:
     """
     The number of 321-avoiders of size 2**k - 1.
 
-    The count is assembled by count_321_avoiders; for k <= 3 the assembly
-    is cross-checked against direct enumeration, and a disagreement
-    raises VerificationError.
+    The count is the sum of squared two-row shape counts, one square per
+    insertion-tableau shape (n-r, r): f choices of P times f choices of
+    Q.  For k <= 3 it is cross-checked against direct enumeration, and a
+    disagreement raises VerificationError.
     """
-    if k < 1:
-        raise ValueError("k must be positive")
-    if k > MAX_LEMMA5_K:
-        raise ExhaustionError(f"k={k} exceeds the supported bound {MAX_LEMMA5_K}")
-    n = 2**k - 1
-    total = count_321_avoiders(n)
+    n = _parity_size(k, MAX_LEMMA5_K)
+    total = sum(syt_count_two_row_shape(n, r) ** 2 for r in range(n // 2 + 1))
     if n <= 7:
         enumerated = sum(1 for _ in enumerate_avoiders(n, [_PATTERN_321]))
         if enumerated != total:
@@ -457,11 +452,7 @@ def parity_polynomial(k: int, stat: str) -> StatPolynomial:
     stat = parse_stat(stat)
     if stat not in (CHARGE, MAJOR_INDEX):
         raise ValueError(f"the parity checks cover charge and major index, not {stat}")
-    if k < 1:
-        raise ValueError("k must be positive")
-    if k > MAX_PARITY_K:
-        raise ExhaustionError(f"k={k} is beyond the supported bound {MAX_PARITY_K}")
-    n = 2**k - 1
+    n = _parity_size(k, MAX_PARITY_K)
     poly = replace(fast_ch_321(n), stat=stat)
     if k <= 3:
         brute = stat_polynomial(n, [_PATTERN_321], stat)

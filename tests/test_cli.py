@@ -4,6 +4,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import permstat.cli as cli
 
 
@@ -326,3 +328,63 @@ def test_text_output_of_nested_results():
     assert lines[1:3] == ["  target: lemma2", "  n: 3"]
     assert lines[3:6] == ["result:", "  passed: True", "  correspondence:"]
     assert "    1,3,2: 2,1,3" in lines
+
+
+def test_flags_a_command_would_ignore_are_refused():
+    fast = ("poly", "--n", "5", "--avoid", "321", "--stat", "ch", "--fast")
+    classes = ("classes", "--stat", "ch", "--nmax", "4")
+    cases = [
+        (("verify", "theorem8", "--k", "4", "--stat", "maj"), "--stat"),
+        (("verify", "lemma1", "--n", "3", "--k", "9"), "--k"),
+        (fast + ("--threads", "2"), "--threads"),
+        (fast + ("--threads", "1"), "--threads"),
+        (fast + ("--threads", "0"), "--threads"),
+        (classes + ("--size", "2", "--candidate", "132"), "--size"),
+        (classes + ("--candidate", "132", "--size", "1"), "--size"),
+        (classes + ("--size", "7"), "--size"),
+    ]
+    for args, flag in cases:
+        proc = run_cli(*args)
+        assert proc.returncode == 1, args
+        assert flag in proc.stderr, args
+
+
+def test_each_verify_target_takes_only_its_own_flags(capsys):
+    values = {"--n": "3", "--k": "2", "--nmax": "3", "--stat": "maj"}
+    own = {
+        "lemma1": ["--n"], "lemma2": ["--n"], "involution": ["--n"],
+        "lemma5": ["--k"], "theorem8": ["--k"], "corollary9": ["--k"],
+        "theorem3": ["--nmax", "--stat"], "theorem4": ["--nmax", "--stat"],
+    }
+    parser = cli.build_parser()
+    for target, flags in own.items():
+        argv = ["verify", target] + [part for flag in flags for part in (flag, values[flag])]
+        assert parser.parse_args(argv).target == target
+        for flag in values.keys() - set(flags):
+            with pytest.raises(SystemExit) as exit_:
+                parser.parse_args(argv + [flag, values[flag]])
+            assert exit_.value.code == 1
+            assert flag in capsys.readouterr().err
+
+
+def test_verification_failure_record_keeps_its_parameters(monkeypatch, capsys):
+    from permstat.errors import VerificationError
+
+    def boom(n):
+        raise VerificationError("identity failed")
+
+    monkeypatch.setattr(cli.wilf_engine, "verify_lemma2", boom)
+    rc = cli.main(["verify", "lemma2", "--n", "4", "--format", "json"])
+    record = json.loads(capsys.readouterr().out)
+    assert rc == 2
+    assert record["parameters"] == {"target": "lemma2", "n": 4}
+    assert record["result"] == {"passed": False, "error": "identity failed"}
+
+
+def test_exit_code_two_on_a_broken_involution(monkeypatch, capsys):
+    monkeypatch.setattr(cli.tableaux, "involution_phi", lambda w: w)
+    rc = cli.main(["verify", "involution", "--n", "7", "--format", "json"])
+    record = json.loads(capsys.readouterr().out)
+    assert rc == 2
+    assert record["result"]["passed"] is False
+    assert record["result"]["witness"] == [1, 1, 1, 1, 1, 1, 2]

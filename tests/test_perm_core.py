@@ -116,10 +116,14 @@ def test_contains_pattern_rejects_a_non_permutation_pattern():
 
 
 def test_contains_pattern_agrees_with_oracle():
+    # every pattern of sizes 3 and 4 in p, found once per permutation
     for n in range(8):
         for p in all_permutations(n):
+            contained = contained_patterns(p, 3) | contained_patterns(p, 4)
             for pattern in S3 + S4:
-                assert contains_pattern(p, pattern) == oracle_contains(p, pattern)
+                assert contains_pattern(p, pattern) == (pattern in contained)
+                if n <= 6:  # the two oracles stay tied to each other
+                    assert oracle_contains(p, pattern) == (pattern in contained)
 
 
 def test_incremental_check_matches_whole_prefix_containment():

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from permstat import (
     ExhaustionError,
+    VerificationError,
     all_permutations,
     avoids_all,
     ballot_rank,
@@ -34,6 +35,7 @@ from permstat import (
     verify_theorem8,
 )
 
+from permstat import tableaux
 from helpers import ballot_walk_ch_321, cached_polynomial, catalan_dp
 
 P321 = ((3, 2, 1),)
@@ -271,6 +273,17 @@ def test_involution_laws():
             assert len(image) == len(w)
             assert involution_phi(image) == w
         assert verify_involution(n)
+
+
+def test_verify_involution_catches_a_broken_pairing(monkeypatch):
+    def shifted(w):  # rank 2t goes to its partner 2t+1, but 2t+1 goes on to 2t+2
+        return ballot_unrank(len(w), (ballot_rank(w) + 1) % count_two_row(len(w)))
+
+    for broken, witness in ((lambda w: w, (1, 1, 1, 1, 1, 1, 2)), (shifted, ballot_unrank(7, 1))):
+        monkeypatch.setattr(tableaux, "involution_phi", broken)
+        with pytest.raises(VerificationError) as caught:
+            verify_involution(7)
+        assert caught.value.witness == witness
 
 
 def test_involution_refuses_odd_counts():
