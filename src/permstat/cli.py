@@ -9,9 +9,11 @@ output is deterministic: keys keep that fixed order (only elapsed_ms
 varies between identical runs), and polynomial coefficients are listed
 lowest degree first.
 
-Enumeration runs in this process unless --threads N asks for a pool of
-N >= 2 workers.  --fast excludes --threads, --candidate excludes --size,
-and each verify target takes only its own flag, with --format after it.
+Enumeration runs in this process unless --threads N >= 2 forks up to N
+workers (POSIX only) over interleaved first-entry shards, merged back in
+first-entry order so the output does not depend on N.  --fast excludes
+--threads, --candidate excludes --size, and each verify target takes
+only its own flag, with --format after it.
 
 Exit codes: 0 on success, 2 when a verification ran and failed, 1 for
 usage, parse, and resource errors.
@@ -23,6 +25,7 @@ import functools
 import io
 import itertools
 import json
+import os
 import sys
 import time
 from math import factorial
@@ -184,33 +187,58 @@ def _render(record: dict, fmt: str) -> str:
     return _render_text(record)
 
 
-def _poly_shard(n, patterns, stat, first) -> StatPolynomial:
-    return stat_polynomial(n, patterns, stat, first=first)
-
-
-def _avoid_shard(n, patterns, first) -> list:
-    return list(enumerate_avoiders(n, patterns, first=first))
-
-
-def _count_shard(n, patterns, first) -> int:
-    return sum(1 for _ in enumerate_avoiders(n, patterns, first=first))
+def _avoiders(n, patterns, count, first=None):
+    found = enumerate_avoiders(n, patterns, first=first)
+    return sum(1 for _ in found) if count else list(found)
 
 
 def _map_shards(shard, n, threads) -> list:
-    """
-    [shard(None)] in this process, or, when threads >= 2, shard(first) for
-    first = 1..n in order on a process pool of up to ``threads`` workers.
-
-    The pool module is imported only here, so commands that never start a
-    pool do not pay for the import.
+    """[shard(first=None)] here or, if threads >= 2, shard(first=f) for f = 1..n
+    in order from W = min(threads, n) forked workers (POSIX only; the CLI
+    starts no threads, so forking is safe).  Worker w takes the interleaved
+    f = w + 1, w + 1 + W, ... and pickles them back through a pipe; its
+    exception is re-raised here once every worker is reaped.
     """
     workers = min(threads, n)
     if workers < 2:
-        return [shard(None)]
-    from concurrent.futures import ProcessPoolExecutor
+        return [shard(first=None)]
+    if getattr(os, "fork", None) is None:
+        raise CommandError("--threads N >= 2 needs os.fork, which this platform lacks; use --threads 1")
+    import pickle  # only here, so single-process commands do not pay for it
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(shard, range(1, n + 1)))
+    pids, pipes = [], []
+    try:
+        for w in range(workers):
+            read_fd, write_fd = os.pipe()
+            if (pid := os.fork()) == 0:  # the worker: pickle (error, its shards), then exit
+                status = 1
+                try:
+                    try:
+                        reply = None, [shard(first=f) for f in range(w + 1, n + 1, workers)]
+                    except Exception as exc:
+                        reply = exc, None
+                    with os.fdopen(write_fd, "wb") as pipe:
+                        pickle.dump(reply, pipe)
+                    status = 0
+                finally:
+                    os._exit(status)  # never return into the parent's code
+            os.close(write_fd)
+            pids.append(pid)
+            pipes.append(os.fdopen(read_fd, "rb"))
+        replies = [pipe.read() for pipe in pipes]
+    finally:
+        for pipe in pipes:
+            pipe.close()  # a worker still writing gets EPIPE instead of blocking the reap
+        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
+    parts = [None] * n
+    for w, (status, reply) in enumerate(zip(statuses, replies)):
+        if status:
+            raise RuntimeError(f"shard worker {w + 1} of {workers} ended with wait status {status}")
+        error, got = pickle.loads(reply)
+        if error is not None:
+            raise error
+        parts[w::workers] = got
+    return parts
 
 
 def _cmd_stat(args):
@@ -236,7 +264,7 @@ def _cmd_poly(args):
     if args.fast:
         poly = fast_ch_321(args.n)
     else:
-        shard = functools.partial(_poly_shard, args.n, tuple(sorted(patterns)), args.stat)
+        shard = functools.partial(stat_polynomial, args.n, patterns, args.stat)
         poly = merge_polynomials(_map_shards(shard, args.n, args.threads))
     return params, _coefficients(poly), EXIT_PASS
 
@@ -249,10 +277,8 @@ def _cmd_avoid(args):
         "count_only": bool(args.count),
         "threads": args.threads,
     }
-    shard = _count_shard if args.count else _avoid_shard
-    parts = _map_shards(
-        functools.partial(shard, args.n, tuple(sorted(patterns))), args.n, args.threads
-    )
+    shard = functools.partial(_avoiders, args.n, patterns, args.count)
+    parts = _map_shards(shard, args.n, args.threads)
     if args.count:
         result = {"count": sum(parts)}
     else:
@@ -384,7 +410,7 @@ def _add_threads(parser) -> None:
     # given --threads 1 still counts as given where another flag excludes it
     parser.add_argument(
         "--threads", type=_positive_int, default="1", metavar="N",
-        help="run enumeration shards on a pool of N processes (default 1: no pool)",
+        help="run enumeration shards in N forked processes (default 1: none)",
     )
 
 

@@ -114,6 +114,12 @@ def _forbidden_step(pattern: Permutation, n: int) -> Callable[[Sequence[int], in
     The values w completing a given copy of pattern[:-1] form an open
     interval, bounded by the letters ranked just below and just above
     the pattern's last letter (0 and n + 1 where there is none).
+
+    A pattern of length >= 4 ending in (m - 1, m) or (2, 1) gives every
+    copy of its head ending at v one interval, all w above or below v; a
+    copy exists iff v is on the standardized head's mask, which the step
+    keeps per depth.  So it holds per-walk state: call it at k = 0, 1, ...
+    along a prefix, and build one per walk.
     """
     m = len(pattern)
     head, c = pattern[:-1], pattern[-1]
@@ -136,9 +142,18 @@ def _forbidden_step(pattern: Permutation, n: int) -> Callable[[Sequence[int], in
 
         return step3
 
-    # Generic: backtrack over the copies of pattern[:-1] that end at v.  When
-    # neither bound is an earlier letter, every copy gives the same interval.
-    fixed = lo_i in (None, m - 2) and hi_i in (None, m - 2)
+    if m > 3 and lo_i in (None, m - 2) and hi_i in (None, m - 2):
+        head_step = _forbidden_step(tuple(sorted(head).index(x) + 1 for x in head), n)
+        reach = [0] * (n + 1)  # reach[k]: the head's forbidden mask of prefix[:k]
+
+        def step_fixed(prefix, k, used, v):
+            ends = reach[k] >> v & 1
+            reach[k + 1] = reach[k] | head_step(prefix, k, used, v)
+            return ends and ((1 << top) - (1 << (v + 1)) if c == m else (1 << v) - 2)
+
+        return step_fixed
+
+    # Generic: backtrack over the copies of pattern[:-1] that end at v.
     below = [h < head[-1] for h in head]
 
     def step(prefix, k, used, v):
@@ -146,14 +161,14 @@ def _forbidden_step(pattern: Permutation, n: int) -> Callable[[Sequence[int], in
         chosen[-1] = v
         mask = 0
 
-        def extend(j: int, start: int) -> bool:
+        def extend(j: int, start: int) -> None:
             nonlocal mask
             if j == m - 2:
                 lo = 0 if lo_i is None else chosen[lo_i]
                 hi = top if hi_i is None else chosen[hi_i]
                 if hi > lo + 1:
                     mask |= (1 << hi) - (1 << (lo + 1))
-                return fixed
+                return
             for pos in range(start, k - (m - 3 - j)):
                 x = prefix[pos]
                 if (x < v) != below[j]:
@@ -161,9 +176,7 @@ def _forbidden_step(pattern: Permutation, n: int) -> Callable[[Sequence[int], in
                 if any((x < chosen[i]) != (head[j] < head[i]) for i in range(j)):
                     continue
                 chosen[j] = x
-                if extend(j + 1, pos + 1):
-                    return True
-            return False
+                extend(j + 1, pos + 1)
 
         extend(0, 0)
         return mask
@@ -192,7 +205,7 @@ def contains_pattern(p: Sequence[int], pattern: Sequence[int]) -> bool:
         return False
     if len(pat) < 2:
         return True
-    step = _forbidden_step(pat, max(p))
+    step = _forbidden_step(pat, max(len(p), max(p)))
     forbidden = used = 0
     for k, v in enumerate(p):
         if forbidden >> v & 1:
@@ -229,6 +242,13 @@ def enumerate_avoiders(
     >>> list(enumerate_avoiders(3, [(3, 2, 1)]))
     [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2)]
     """
+    return _walk(n, patterns, first)
+
+
+def _walk(n: int, patterns: Iterable[Sequence[int]], first: int | None, gain=None) -> Iterator:
+    """The search behind ``enumerate_avoiders`` and ``stat_polynomial``: yields
+    each avoider or, given ``gain(prefix, k, used, v)`` (what a statistic adds
+    when v follows prefix[:k]), each avoider's statistic, summed per depth."""
     if n < 0:
         raise ValueError("n must be nonnegative")
     pats = normalize_patterns(patterns)
@@ -238,13 +258,14 @@ def enumerate_avoiders(
     if any(len(t) < 2 for t in live):
         return  # () occurs in every permutation, (1,) in every nonempty one
     if n == 0:
-        yield ()
+        yield () if gain is None else 0
         return
-    steps = [_forbidden_step(t, n) for t in live]
+    steps = [_forbidden_step(t, n) for t in live]  # per walk: some steps hold state
     full = (1 << (n + 1)) - 2  # values 1..n
     prefix = [0] * n
-    used = [0] * n  # used[k], forbidden[k]: masks of the prefix of length k
+    used = [0] * n  # used[k], forbidden[k], score[k]: of the prefix of length k
     forbidden = [0] * n
+    score = [0] * n
     todo = [0] * n  # todo[k]: values still to try at position k
     todo[0] = full if first is None else 1 << first
     k = 0
@@ -256,7 +277,7 @@ def enumerate_avoiders(
         todo[k] ^= low
         v = prefix[k] = low.bit_length() - 1
         if k == n - 1:
-            yield tuple(prefix)
+            yield tuple(prefix) if gain is None else score[k] + gain(prefix, k, used[k], v)
             continue
         grown = used[k] | low
         mask = forbidden[k]
@@ -264,5 +285,7 @@ def enumerate_avoiders(
             mask |= step(prefix, k, used[k], v)
         if mask & ~grown:
             continue  # dead end: some unused value can never be placed
+        if gain is not None:
+            score[k + 1] = score[k] + gain(prefix, k, used[k], v)
         k += 1
         used[k], forbidden[k], todo[k] = grown, mask, full & ~grown

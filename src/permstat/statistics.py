@@ -6,6 +6,11 @@ positions), the charge statistic, and the inversion count.  The set of
 statistics is deliberately closed (a fixed enumeration, not a plugin point) so
 every combination can be tested exhaustively.
 
+Appending v at 0-based position k after the values in bitmask ``used``
+adds a *gain*: k to the major index if the entry before v is larger,
+n - v to charge if v + 1 is placed, and the number of placed values
+above v to the inversions; the avoidance search sums these per depth.
+
 The generating polynomial of a statistic over an avoidance set is held
 as a dense vector of exact integer coefficients (Python integers never
 overflow), trimmed so the trailing coefficient is nonzero; the zero
@@ -13,10 +18,10 @@ polynomial is the empty vector.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Callable, Iterable, Sequence
 
-from .perm_core import Permutation, enumerate_avoiders, normalize_patterns
+from .perm_core import Permutation, _walk, normalize_patterns
 
 MAJOR_INDEX = "major_index"
 CHARGE = "charge"
@@ -112,8 +117,16 @@ def stat_function(stat: str) -> Callable[[Sequence[int]], int]:
     return _STAT_FUNCTIONS[parse_stat(stat)]
 
 
-@dataclass(frozen=True)
-class StatPolynomial:
+def _gain(stat: str, n: int) -> Callable[[Sequence[int], int, int, int], int]:
+    """``gain(prefix, k, used, v)`` of a canonical statistic at size n (module docstring)."""
+    if stat == MAJOR_INDEX:
+        return lambda prefix, k, used, v: k if k and prefix[k - 1] > v else 0
+    if stat == CHARGE:
+        return lambda prefix, k, used, v: n - v if used >> (v + 1) & 1 else 0
+    return lambda prefix, k, used, v: (used >> v).bit_count()
+
+
+class StatPolynomial(namedtuple("StatPolynomial", "coeffs n patterns stat")):
     """Coefficient vector of sum(q**stat(p)) over the avoiders of a pattern set.
 
     coeffs[i] counts the avoiders whose statistic equals i; the vector
@@ -121,18 +134,20 @@ class StatPolynomial:
     number of avoiders.
     """
 
-    coeffs: tuple[int, ...]
-    n: int
-    patterns: frozenset[Permutation]
-    stat: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.coeffs and self.coeffs[-1] == 0:
+    def __new__(cls, coeffs: tuple[int, ...], n: int, patterns: frozenset[Permutation], stat: str):
+        if coeffs and coeffs[-1] == 0:
             raise ValueError("coefficient vector must be trimmed of trailing zeros")
-        if any(c < 0 for c in self.coeffs):
+        if any(c < 0 for c in coeffs):
             raise ValueError("coefficients must be nonnegative")
-        if self.stat not in STAT_NAMES:
-            raise ValueError(f"unknown statistic {self.stat!r}")
+        if stat not in STAT_NAMES:
+            raise ValueError(f"unknown statistic {stat!r}")
+        return super().__new__(cls, coeffs, n, patterns, stat)
+
+    @classmethod
+    def _make(cls, iterable) -> "StatPolynomial":  # _replace builds through here
+        return cls(*iterable)
 
     @classmethod
     def from_counts(
@@ -169,18 +184,18 @@ def stat_polynomial(
     """
     Tally a statistic over the avoiders of a pattern set at size n.
 
-    Streams the avoidance enumeration rather than materializing it.  With
-    ``first`` set, tallies only the enumeration shard whose permutations
-    start with that entry; shard polynomials merge to the full one.
+    The search adds up each prefix's gains (module docstring) instead of
+    building avoiders.  With ``first`` set, tallies only the enumeration
+    shard whose permutations start with that entry; shard polynomials
+    merge to the full one.
     """
     canonical = parse_stat(stat)
     if n < 0:
         raise ValueError("n must be nonnegative")
     pats = normalize_patterns(patterns)
-    fn = _STAT_FUNCTIONS[canonical]
     counts = [0] * (n * (n - 1) // 2 + 1)  # every statistic is at most C(n, 2)
-    for p in enumerate_avoiders(n, pats, first=first):
-        counts[fn(p)] += 1
+    for value in _walk(n, pats, first, _gain(canonical, n)):
+        counts[value] += 1
     return StatPolynomial.from_counts(counts, n=n, patterns=pats, stat=canonical)
 
 

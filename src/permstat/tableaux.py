@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_left, bisect_right
-from dataclasses import replace
 from itertools import chain
 from math import comb
 from typing import Iterator, Sequence
@@ -453,7 +452,7 @@ def parity_polynomial(k: int, stat: str) -> StatPolynomial:
     if stat not in (CHARGE, MAJOR_INDEX):
         raise ValueError(f"the parity checks cover charge and major index, not {stat}")
     n = _parity_size(k, MAX_PARITY_K)
-    poly = replace(fast_ch_321(n), stat=stat)
+    poly = fast_ch_321(n)._replace(stat=stat)
     if k <= 3:
         brute = stat_polynomial(n, [_PATTERN_321], stat)
         if poly != brute:

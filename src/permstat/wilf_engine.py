@@ -18,7 +18,7 @@ once, for charge; the expected major-index classes are their f-images.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, Sequence
 
 from .errors import ExhaustionError, VerificationError
@@ -29,7 +29,7 @@ from .perm_core import (
     f_map,
     normalize_patterns,
 )
-from .statistics import CHARGE, MAJOR_INDEX, StatPolynomial, charge, major_index, parse_stat, stat_polynomial
+from .statistics import CHARGE, MAJOR_INDEX, charge, major_index, parse_stat, stat_polynomial
 
 # Largest n the exhaustive checks of Lemmas 1 and 2 accept (9! = 362880 permutations).
 MAX_EXHAUSTIVE = 9
@@ -70,19 +70,16 @@ def _set_key(patterns: frozenset[Permutation]) -> tuple[Permutation, ...]:
     return tuple(sorted(patterns))
 
 
-@dataclass(frozen=True)
-class WilfClassReport:
+class WilfClassReport(namedtuple("WilfClassReport", "stat n_range classes witness_polynomials")):
     """Partition of candidate pattern sets by their witness polynomials.
 
     Two candidates share a class exactly when their polynomial sequences
     agree for every n in n_range (inclusive).  Classes and members are
-    in a canonical sorted order.
+    in a canonical sorted order.  witness_polynomials maps each candidate
+    to its StatPolynomial for each n.
     """
 
-    stat: str
-    n_range: tuple[int, int]
-    classes: tuple[tuple[frozenset[Permutation], ...], ...]
-    witness_polynomials: dict[frozenset[Permutation], tuple[StatPolynomial, ...]]
+    __slots__ = ()
 
     def class_sizes(self) -> tuple[int, ...]:
         return tuple(sorted(len(c) for c in self.classes))

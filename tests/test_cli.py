@@ -388,3 +388,51 @@ def test_exit_code_two_on_a_broken_involution(monkeypatch, capsys):
     assert rc == 2
     assert record["result"]["passed"] is False
     assert record["result"]["witness"] == [1, 1, 1, 1, 1, 1, 2]
+
+
+def _result(capsys, *argv):
+    assert cli.main([*argv, "--format", "json"]) == 0
+    return json.loads(capsys.readouterr().out)["result"]
+
+
+def test_forked_shards_match_one_process_at_every_width(capsys):
+    n = 7
+    for command in (
+        ["poly", "--n", str(n), "--avoid", "1234", "--stat", "inv"],
+        ["avoid", "--n", str(n), "--avoid", "2143"],
+        ["avoid", "--n", str(n), "--avoid", "321", "--count"],
+    ):
+        single = _result(capsys, *command, "--threads", "1")
+        for threads in (2, 3, n, n + 5):
+            assert _result(capsys, *command, "--threads", str(threads)) == single, (command, threads)
+
+
+def _shard_failing_at_two(first):
+    if first == 2:
+        raise ValueError("shard 2 failed")
+    return first
+
+
+def test_a_worker_exception_is_raised_in_the_parent_after_every_reap(monkeypatch, capsys):
+    assert cli._map_shards(lambda first: first, 5, 3) == [1, 2, 3, 4, 5]
+    with pytest.raises(ValueError, match="shard 2 failed"):
+        cli._map_shards(_shard_failing_at_two, 5, 3)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # no child is left, reaped or running
+
+    def failing_stat_polynomial(n, patterns, stat, first):
+        raise ValueError(f"shard {first} failed")
+
+    monkeypatch.setattr(cli, "stat_polynomial", failing_stat_polynomial)
+    assert cli.main(["poly", "--n", "5", "--avoid", "321", "--stat", "ch", "--threads", "2"]) == 1
+    assert "shard 1 failed" in capsys.readouterr().err
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_threads_need_fork(monkeypatch, capsys):
+    monkeypatch.delattr(os, "fork")
+    assert cli.main(["avoid", "--n", "5", "--avoid", "321", "--threads", "2"]) == 1
+    assert "os.fork" in capsys.readouterr().err
+    single = _result(capsys, "avoid", "--n", "5", "--avoid", "321", "--count", "--threads", "1")
+    assert single == {"count": 42}

@@ -259,3 +259,34 @@ def test_enumerate_avoiders_input_validation():
 def test_identity_helper():
     assert identity(0) == ()
     assert identity(4) == (1, 2, 3, 4)
+
+
+# length-5 patterns ending in their two largest or two smallest letters
+# (the head-mask step) and the monotone length-6 patterns
+FIXED_ENDINGS = [h + (4, 5) for h in itertools.permutations((1, 2, 3))]
+FIXED_ENDINGS += [h + (2, 1) for h in itertools.permutations((3, 4, 5))]
+FIXED_ENDINGS += [(1, 2, 3, 4, 5, 6), (6, 5, 4, 3, 2, 1)]
+
+
+def test_contains_pattern_agrees_with_oracle_on_fixed_endings():
+    for n in range(8):
+        for p in all_permutations(n):
+            contained = contained_patterns(p, 5) | contained_patterns(p, 6)
+            for pattern in FIXED_ENDINGS:
+                assert contains_pattern(p, pattern) == (pattern in contained), (p, pattern)
+                if n <= 6:  # the two oracles stay tied to each other
+                    assert oracle_contains(p, pattern) == (pattern in contained)
+
+
+def test_interleaved_walks_keep_their_own_steps():
+    # the head-mask step of 1234 holds per-walk state; two live walks must not share it
+    a = enumerate_avoiders(7, [(1, 2, 3, 4)])
+    b = enumerate_avoiders(6, [(1, 2, 3, 4)], first=3)
+    got_a, got_b = [], []
+    for x, y in itertools.zip_longest(a, b):
+        if x is not None:
+            got_a.append(x)
+        if y is not None:
+            got_b.append(y)
+    assert got_a == [p for p in all_permutations(7) if (1, 2, 3, 4) not in contained_patterns(p, 4)]
+    assert got_b == [p for p in oracle_avoiders(6, [(1, 2, 3, 4)]) if p[0] == 3]

@@ -188,3 +188,48 @@ def test_stat_polynomial_canonical_form():
     zero = StatPolynomial.from_counts([0, 0], n=1, patterns=[(1,)], stat="ch")
     assert zero.coeffs == ()
     assert zero.total() == 0
+
+
+def test_gains_sum_to_each_statistic_along_every_permutation():
+    from permstat.statistics import _gain
+
+    for n in range(8):
+        for stat, fn in (("major_index", major_index), ("charge", charge), ("inversions", inversions)):
+            gain = _gain(stat, n)
+            for p in all_permutations(n):
+                used = total = 0
+                for k, v in enumerate(p):
+                    total += gain(p, k, used, v)
+                    used |= 1 << v
+                assert total == fn(p), (stat, p)
+
+
+def test_walk_tally_equals_filtering_for_every_shard():
+    # the 63 nonempty subsets of S_3, the 24 S_4 singletons and the 12
+    # length-5 patterns ending in 45 or 21 (those take the head-mask step);
+    # the gains are checked on all of S_n above, so each set takes one
+    # statistic, in turn
+    from helpers import contained_patterns
+
+    s3 = list(itertools.permutations((1, 2, 3)))
+    pattern_sets = [c for r in range(1, 7) for c in itertools.combinations(s3, r)]
+    pattern_sets += [(t,) for t in itertools.permutations((1, 2, 3, 4))]
+    pattern_sets += [(h + (4, 5),) for h in itertools.permutations((1, 2, 3))]
+    pattern_sets += [(h + (2, 1),) for h in itertools.permutations((3, 4, 5))]
+    assert len(pattern_sets) == 63 + 24 + 12
+    stats = (("maj", major_index), ("ch", charge), ("inv", inversions))
+    for n in range(8):
+        perms = list(all_permutations(n))
+        contained = [set().union(*(contained_patterns(p, m) for m in (3, 4, 5))) for p in perms]
+        values = [[fn(p) for _, fn in stats] for p in perms]
+        for index, patterns in enumerate(pattern_sets):
+            s = index % 3
+            counts = [[0] * (n * (n - 1) // 2 + 1) for _ in range(n + 1)]  # by first entry; 0: all
+            for p, seen, value in zip(perms, contained, values):
+                if seen.isdisjoint(patterns):
+                    for first in {0, *p[:1]}:
+                        counts[first][value[s]] += 1
+            for first in range(n + 1):
+                expected = StatPolynomial.from_counts(counts[first], n=n, patterns=patterns, stat=stats[s][0])
+                got = stat_polynomial(n, patterns, stats[s][0], first=first or None)
+                assert got == expected, (n, patterns, first, stats[s][0])
