@@ -30,12 +30,14 @@ from .statistics import (
     CHARGE,
     INVERSIONS,
     MAJOR_INDEX,
+    MAX_DP_NMAX,
     STAT_NAMES,
     StatPolynomial,
     charge,
     charge_values,
     descent_set,
     inversions,
+    length3_polynomials,
     major_index,
     merge_polynomials,
     parse_stat,

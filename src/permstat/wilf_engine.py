@@ -14,6 +14,15 @@ image set (Lemma 2), and since f also carries the major index to charge
 (Lemma 1), the major-index polynomial of a pattern set is the charge
 polynomial of its f-image.  Theorems 3 and 4 are therefore stated here
 once, for charge; the expected major-index classes are their f-images.
+
+Each candidate's polynomials come from one of two routes.  A nonempty set
+of length-3 patterns takes the memoized search of
+``statistics.length3_polynomials``: one table serves every size up to
+n_max, and n_max above ``statistics.MAX_DP_NMAX`` (20) is refused.  Any
+other set, empty or with a pattern of another length, is enumerated size
+by size with ``stat_polynomial``, and n_max above MAX_EXHAUSTIVE (9) is
+refused.  Both refusals raise ExhaustionError before any polynomial is
+computed.
 """
 from __future__ import annotations
 
@@ -29,9 +38,18 @@ from .perm_core import (
     f_map,
     normalize_patterns,
 )
-from .statistics import CHARGE, MAJOR_INDEX, charge, major_index, parse_stat, stat_polynomial
+from .statistics import (
+    CHARGE,
+    MAJOR_INDEX,
+    charge,
+    length3_polynomials,
+    major_index,
+    parse_stat,
+    stat_polynomial,
+)
 
-# Largest n the exhaustive checks of Lemmas 1 and 2 accept (9! = 362880 permutations).
+# Largest n the exhaustive checks of Lemmas 1 and 2 accept (9! = 362880
+# permutations), and the largest n_max of an enumerated st-Wilf candidate.
 MAX_EXHAUSTIVE = 9
 
 S3 = ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1))
@@ -70,6 +88,11 @@ def _set_key(patterns: frozenset[Permutation]) -> tuple[Permutation, ...]:
     return tuple(sorted(patterns))
 
 
+def _memoized(patterns: frozenset[Permutation]) -> bool:
+    """Whether the candidate takes the memoized length-3 route (module docstring)."""
+    return bool(patterns) and all(len(t) == 3 for t in patterns)
+
+
 class WilfClassReport(namedtuple("WilfClassReport", "stat n_range classes witness_polynomials")):
     """Partition of candidate pattern sets by their witness polynomials.
 
@@ -101,7 +124,10 @@ def st_wilf_classes(
     Partition candidate pattern sets by statistic polynomials over sizes 0..n_max.
 
     Every candidate's polynomials are retained as witnesses, so a report
-    is self-contained evidence for its partition.
+    is self-contained evidence for its partition.  A nonempty set of
+    length-3 patterns is served by ``length3_polynomials`` up to
+    MAX_DP_NMAX, any other set by enumeration up to MAX_EXHAUSTIVE; above
+    its bound a candidate raises ExhaustionError.
     """
     canonical = parse_stat(stat)
     if n_max < 0:
@@ -109,8 +135,15 @@ def st_wilf_classes(
     sets = sorted({normalize_patterns(c) for c in candidates}, key=_set_key)
     if not sets:
         raise ValueError("candidates must be nonempty")
+    enumerated = [pi for pi in sets if not _memoized(pi)]
+    if enumerated and n_max > MAX_EXHAUSTIVE:
+        raise ExhaustionError(
+            f"n_max={n_max} exceeds the exhaustive bound MAX_EXHAUSTIVE={MAX_EXHAUSTIVE} "
+            f"of enumerated candidates such as {sorted(enumerated[0])}"
+        )
     witness = {
-        pi: tuple(stat_polynomial(n, pi, canonical) for n in range(n_max + 1))
+        pi: length3_polynomials(n_max, pi, canonical) if _memoized(pi)
+        else tuple(stat_polynomial(n, pi, canonical) for n in range(n_max + 1))
         for pi in sets
     }
     groups: dict[tuple, list[frozenset[Permutation]]] = {}

@@ -187,6 +187,18 @@ def test_exhaustion_bound_refuses_oversized_runs():
     assert "exceeds" in proc.stderr
 
 
+def test_st_wilf_routes_refuse_above_their_named_bounds():
+    for argv, bound in (
+        (("verify", "theorem3", "--nmax", "21"), "MAX_DP_NMAX=20"),
+        (("verify", "theorem4", "--nmax", "21", "--stat", "maj"), "MAX_DP_NMAX=20"),
+        (("classes", "--stat", "ch", "--candidate", "1234", "--nmax", "10"), "MAX_EXHAUSTIVE=9"),
+    ):
+        proc = run_cli(*argv)
+        assert proc.returncode == 1, argv
+        assert proc.stdout == ""
+        assert bound in proc.stderr, proc.stderr
+
+
 def test_rsk_command():
     record = run_json("rsk", "--perm", "132")
     assert record["result"]["p_rows"] == [[1, 2], [3]]

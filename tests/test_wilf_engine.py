@@ -2,13 +2,17 @@ import itertools
 
 import pytest
 
+from math import comb
+
 from permstat import (
+    MAX_DP_NMAX,
     MAX_EXHAUSTIVE,
     ExhaustionError,
     S3,
     VerificationError,
     f_image,
     f_map,
+    length3_polynomials,
     st_wilf_classes,
     verify_lemma1,
     verify_lemma2,
@@ -17,7 +21,7 @@ from permstat import (
     wilf_engine,
 )
 
-from helpers import cached_polynomial
+from helpers import cached_polynomial, catalan_dp
 
 # Image of each length-3 pattern under f, written out independently of f_map.
 F_CORRESPONDENCE = {
@@ -118,6 +122,102 @@ def test_st_wilf_classes_single_candidate_and_validation():
         st_wilf_classes([], "ch", 4)
     with pytest.raises(ValueError):
         st_wilf_classes([[(1, 2, 3)]], "ch", -1)
+
+
+def test_length3_route_equals_enumeration_for_every_subset_of_s3():
+    # every candidate here takes the memoized route; its witnesses must be the
+    # enumerated polynomials, metadata included (patterns are the candidate's own)
+    candidates = [pi for pi in _subsets_of_s3() if pi]
+    assert len(candidates) == 63
+    for stat in ("ch", "maj", "inv"):
+        report = st_wilf_classes(candidates, stat, 10)
+        for pi in candidates:
+            expected = tuple(cached_polynomial(n, tuple(sorted(pi)), stat) for n in range(11))
+            assert report.witness_polynomials[pi] == expected, (sorted(pi), stat)
+
+
+def test_st_wilf_classes_enumerates_only_the_other_candidates(monkeypatch):
+    enumerated = []
+
+    def recording_stat_polynomial(n, patterns, stat):
+        enumerated.append(frozenset(patterns))
+        return cached_polynomial(n, tuple(sorted(patterns)), stat)
+
+    monkeypatch.setattr(wilf_engine, "stat_polynomial", recording_stat_polynomial)
+    other = [frozenset(), frozenset({(2, 1)}), frozenset({(1, 2, 3), (2, 1, 4, 3)})]
+    report = st_wilf_classes([[s] for s in S3] + other, "maj", 6)
+    assert set(enumerated) == set(other) and len(enumerated) == 3 * 7
+    for s in S3:
+        assert report.witness_polynomials[frozenset([s])] == length3_polynomials(6, [s], "maj")
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _inv_catalan(n_max, shift):
+    """inv over Av_n(s) by splitting at the entry n + 1:
+    C_{n+1}(q) = sum_k q^shift(k, n) C_k(q) C_{n-k}(q), for n = 0..n_max."""
+    polys = [[1]]
+    for n in range(n_max):
+        total = [0] * (n * (n + 1) // 2 + 1)
+        for k in range(n + 1):
+            for i, c in enumerate(_poly_mul(polys[k], polys[n - k])):
+                total[i + shift(k, n)] += c
+        polys.append(total)
+    return polys
+
+
+# Simion and Schmidt: |Av_n| of the pairs of S_3 for n >= 1; the ten pairs
+# not listed have 2^(n-1) avoiders.
+_PAIR_COUNTS = {
+    ((1, 2, 3), (2, 3, 1)): lambda n: comb(n, 2) + 1,
+    ((1, 2, 3), (3, 1, 2)): lambda n: comb(n, 2) + 1,
+    ((1, 3, 2), (3, 2, 1)): lambda n: comb(n, 2) + 1,
+    ((2, 1, 3), (3, 2, 1)): lambda n: comb(n, 2) + 1,
+    ((1, 2, 3), (3, 2, 1)): lambda n: (1, 2, 4, 4)[n - 1] if n < 5 else 0,  # Erdos-Szekeres
+}
+
+
+def test_length3_route_matches_independent_counts_up_to_16():
+    for s in S3:
+        polys = length3_polynomials(16, [s], "maj")
+        assert [p.total() for p in polys] == [catalan_dp(n) for n in range(17)], s
+    for pair in itertools.combinations(S3, 2):
+        count = _PAIR_COUNTS.get(pair, lambda n: 2 ** (n - 1))
+        polys = length3_polynomials(16, pair, "ch")
+        assert [p.total() for p in polys[1:]] == [count(n) for n in range(1, 17)], pair
+
+
+def test_length3_inversions_follow_the_q_catalan_recurrences_up_to_16():
+    # In Av_{n+1}(231) the entry n + 1 splits p into a < b, so it inverts with
+    # the n - k entries of b; after k -> n - k that is Carlitz and Riordan's
+    # q^k C_k C_{n-k}.  In Av_{n+1}(132), a > b, so n + 1 and all of a invert
+    # with b.  Reverse-complement keeps inv and maps 231 to 312, 132 to 213.
+    carlitz = _inv_catalan(16, lambda k, n: k)
+    shifted = _inv_catalan(16, lambda k, n: (k + 1) * (n - k))
+    for patterns, expected in (((2, 3, 1), carlitz), ((3, 1, 2), carlitz), ((1, 3, 2), shifted), ((2, 1, 3), shifted)):
+        polys = length3_polynomials(16, [patterns], "inv")
+        assert [list(p.coeffs) for p in polys] == expected, patterns
+
+
+def test_st_wilf_classes_bounds_per_route():
+    singletons = [[s] for s in S3]
+    with pytest.raises(ExhaustionError, match=f"MAX_DP_NMAX={MAX_DP_NMAX}"):
+        st_wilf_classes(singletons, "ch", MAX_DP_NMAX + 1)
+    for other in ([(1, 2, 3, 4)], [], [(2, 1)]):
+        with pytest.raises(ExhaustionError, match=f"MAX_EXHAUSTIVE={MAX_EXHAUSTIVE}"):
+            st_wilf_classes(singletons + [other], "maj", MAX_EXHAUSTIVE + 1)
+    assert st_wilf_classes(singletons + [[(2, 1)]], "inv", MAX_EXHAUSTIVE).n_range == (0, MAX_EXHAUSTIVE)
+    for bad in ([], [(1, 2, 3), (1, 2)], [(1, 2, 3, 4)]):
+        with pytest.raises(ValueError):
+            length3_polynomials(4, bad, "ch")
+    with pytest.raises(ValueError):
+        length3_polynomials(-1, [(1, 2, 3)], "ch")
 
 
 def test_verify_lemma1_small_sizes():
