@@ -16,8 +16,8 @@ def show(report):
 # Two pattern sets are equivalent for a statistic when the statistic's
 # generating polynomials over their avoidance sets agree at every size.
 # Over a finite size range this is decidable by direct computation.  Sets
-# of length-3 patterns take a memoized search with one table for every
-# size, so sizes up to 14 cost a fraction of a second.
+# of length-3 patterns sweep the states of a search, not its avoiders, so
+# sizes up to 14 cost a fraction of a second.
 N_MAX = 14
 
 print("classes of the six single length-3 patterns, charge:")

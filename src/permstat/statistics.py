@@ -11,8 +11,8 @@ adds a *gain*: k to the major index if the entry before v is larger,
 n - v to charge if v + 1 is placed, and the number of placed values
 above v to the inversions; the avoidance search sums these per depth.
 A nonempty set of length-3 patterns has a second route,
-``length3_polynomials``: one memoized search gives every size up to a
-bound, with no avoider enumerated.
+``length3_polynomials``: a sweep per size tallies the prefixes that reach
+each state of a length-3 search, with no avoider enumerated.
 
 The generating polynomial of a statistic over an avoidance set is held
 as a dense vector of exact integer coefficients (Python integers never
@@ -204,8 +204,9 @@ def stat_polynomial(
     return StatPolynomial.from_counts(counts, n=n, patterns=pats, stat=canonical)
 
 
-# Largest n_max that length3_polynomials accepts: its memo table grows about
-# 1.6-fold per size and holds up to 64 054 states at this bound.
+# Largest n_max that length3_polynomials accepts.  At this bound a sweep
+# holds up to 14 002 states per level and caches 121 305 moves of 46 364
+# (r, used) pairs.
 MAX_DP_NMAX = 20
 
 
@@ -215,25 +216,21 @@ def length3_polynomials(
     stat: str,
 ) -> tuple[StatPolynomial, ...]:
     """
-    ``stat_polynomial(n, patterns, stat)`` for n = 0..n_max from one memoized search.
+    ``stat_polynomial(n, patterns, stat)`` for n = 0..n_max by a sweep over prefix states.
 
     The patterns must form a nonempty set of length-3 patterns.  After the
     search's dead-end cut no unplaced value is forbidden, and a length-3
     step reads only the placed values and the new one.  So what can follow
     a prefix depends only on its state: the number r of unplaced values,
     the mask of the r + 1 gaps between them that hold a placed value, and,
-    for the major index, the gap of the last entry.  Each state is
-    searched once, on a canonical prefix with one placed value per
-    occupied gap, and its table serves every size; the root of size n is
-    the state with r = n and no gap occupied.
-
-    A table tallies a state's completions by the inversions they add (the
-    unplaced values below each new entry) or, for the major index, by
-    (d, a): d counts their descents, and a the pairs of an entry that is
-    no descent followed by one that is.  A descent's position is the
-    number of entries before it, so at a root the major index is
-    a + C(d, 2).  Charge is the major index over the f-image (Lemmas 1
-    and 2).  Raises ExhaustionError above MAX_DP_NMAX.
+    for the major index, the gap of the last entry.  For each size n the
+    sweep tallies the prefixes of length k that reach each state, by the
+    statistic so far, and extends them by one entry: a descent adds k to
+    the major index, and an entry with j unplaced values below it adds j
+    inversions.  A state's moves are found once, on a canonical prefix
+    with one placed value per occupied gap, and serve every size.  Charge
+    is the major index over the f-image (Lemmas 1 and 2).  Raises
+    ExhaustionError above MAX_DP_NMAX.
 
     >>> [p.coeffs for p in length3_polynomials(3, [(1, 3, 2)], "inv")]
     [(1,), (1,), (1, 1), (1, 1, 2, 1)]
@@ -249,53 +246,52 @@ def length3_polynomials(
     maj = canonical != INVERSIONS  # charge is tallied as the major index over the f-image
     searched = frozenset(map(f_map, pats)) if canonical == CHARGE else pats
     steps = [_forbidden_step(t, 2 * n_max + 1) for t in searched]  # a canonical prefix has <= 2r + 1 values
-    # Tables pack coefficients `width` bits apart: each counts at most the
-    # Catalan(n_max) < C(2 n_max, n_max) avoiders of one pattern.
+    # Tallies pack coefficients `width` bits apart.  The prefixes counted by
+    # one coefficient of a state that can be completed each extend, by one
+    # completion, to a distinct avoider: at most Catalan(n_max) <
+    # C(2 n_max, n_max) of them.  A state that cannot be completed passes
+    # its tally only to states that cannot either, so a carry there never
+    # reaches a result.
     width = comb(2 * n_max, n_max).bit_length()
-    memo: dict[tuple, list[int]] = {}
+    moves: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
 
-    def table(r: int, used: int, last: int) -> list[int]:
-        """Entry d packs the state's completions with d descents by a (one entry for inv).
+    def moves_of(r: int, used: int) -> list[tuple[int, int, int]]:
+        """The surviving moves (j, v, merged) of a state's canonical prefix.
 
-        The state's canonical prefix has its unplaced values at 2, 4, ..., 2r,
-        one placed value 2g + 1 in each occupied gap g (bitmask ``used``),
-        and ends at ``last`` (0 before the first entry, and always for inv).
+        The prefix has its unplaced values at 2, 4, ..., 2r and one placed
+        value 2g + 1 in each occupied gap g (bitmask ``used``); placing v
+        leaves the gap mask ``merged``.
         """
-        key = r, used, last
-        if key in memo:
-            return memo[key]
-        if r == 0:
-            return [1]
         free = (4**r - 1) // 3 << 2
-        out = [0] * (r + 1 if maj else 1)
-        rises = [0] * r  # completions that open with an entry that is no descent
+        out = []
         for j in range(r):
-            v = 2 * j + 2  # the j-th smallest unplaced value
-            mask = 0
+            v = 2 * j + 2  # the unplaced value with j unplaced values below it
             for step in steps:
-                mask |= step(None, 0, used, v)
-            if mask & (free ^ 1 << v):
-                continue  # the walk's dead-end cut: an unplaced value would be forbidden
-            # gaps j and j + 1 merge into gap j, holding v - 1; higher values drop by 2
-            merged = (used & ((1 << (v - 1)) - 1)) | (1 << (v - 1)) | (used >> (v + 2) << v)
-            child = table(r - 1, merged, v - 1 if maj else 0)
-            if not maj:
-                out[0] += child[0] << width * j  # v precedes the j unplaced values below it
-            elif last > v:
-                for d, x in enumerate(child):
-                    out[d + 1] += x
+                if step(None, 0, used, v) & (free ^ 1 << v):
+                    break  # the walk's dead-end cut: an unplaced value would be forbidden
             else:
-                for d, x in enumerate(child):
-                    rises[d] += x
-        for d, x in enumerate(rises):
-            if x:
-                out[d] += x << width * d  # v precedes each of the d descents
-        memo[key] = out
+                # gaps j and j + 1 merge into gap j, holding v - 1; higher values drop by 2
+                out.append((j, v, (used & ((1 << (v - 1)) - 1)) | (1 << (v - 1)) | (used >> (v + 2) << v)))
         return out
 
     polys = []
     for n in range(n_max + 1):
-        packed = sum(x << width * (d * (d - 1) // 2) for d, x in enumerate(table(n, 0, 0)))
+        level = {(0, 0): 1}  # (used, last) -> packed tally of the prefixes of length k
+        for k in range(n):
+            r = n - k
+            grown: dict[tuple[int, int], int] = {}
+            for (used, last), tally in level.items():
+                key = r, used
+                if key not in moves:
+                    moves[key] = moves_of(r, used)
+                for j, v, merged in moves[key]:
+                    if maj:
+                        child, gain = (merged, v - 1), k if last > v else 0
+                    else:
+                        child, gain = (merged, 0), j
+                    grown[child] = grown.get(child, 0) + (tally << width * gain)
+            level = grown
+        packed = sum(level.values())
         counts = []
         while packed:
             counts.append(packed & ((1 << width) - 1))

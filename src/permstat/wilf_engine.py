@@ -16,9 +16,9 @@ polynomial of its f-image.  Theorems 3 and 4 are therefore stated here
 once, for charge; the expected major-index classes are their f-images.
 
 Each candidate's polynomials come from one of two routes.  A nonempty set
-of length-3 patterns takes the memoized search of
-``statistics.length3_polynomials``: one table serves every size up to
-n_max, and n_max above ``statistics.MAX_DP_NMAX`` (20) is refused.  Any
+of length-3 patterns takes ``statistics.length3_polynomials``, which
+sweeps the states of a length-3 search once per size up to n_max, and
+n_max above ``statistics.MAX_DP_NMAX`` (20) is refused.  Any
 other set, empty or with a pattern of another length, is enumerated size
 by size with ``stat_polynomial``, and n_max above MAX_EXHAUSTIVE (9) is
 refused.  Both refusals raise ExhaustionError before any polynomial is
@@ -89,7 +89,7 @@ def _set_key(patterns: frozenset[Permutation]) -> tuple[Permutation, ...]:
 
 
 def _memoized(patterns: frozenset[Permutation]) -> bool:
-    """Whether the candidate takes the memoized length-3 route (module docstring)."""
+    """Whether the candidate takes the length-3 route (module docstring)."""
     return bool(patterns) and all(len(t) == 3 for t in patterns)
 
 

@@ -12,6 +12,7 @@ from permstat import (
     VerificationError,
     f_image,
     f_map,
+    fast_ch_321,
     length3_polynomials,
     st_wilf_classes,
     verify_lemma1,
@@ -125,7 +126,7 @@ def test_st_wilf_classes_single_candidate_and_validation():
 
 
 def test_length3_route_equals_enumeration_for_every_subset_of_s3():
-    # every candidate here takes the memoized route; its witnesses must be the
+    # every candidate here takes the length-3 route; its witnesses must be the
     # enumerated polynomials, metadata included (patterns are the candidate's own)
     candidates = [pi for pi in _subsets_of_s3() if pi]
     assert len(candidates) == 63
@@ -203,6 +204,24 @@ def test_length3_inversions_follow_the_q_catalan_recurrences_up_to_16():
     for patterns, expected in (((2, 3, 1), carlitz), ((3, 1, 2), carlitz), ((1, 3, 2), shifted), ((2, 1, 3), shifted)):
         polys = length3_polynomials(16, [patterns], "inv")
         assert [list(p.coeffs) for p in polys] == expected, patterns
+
+
+def test_length3_route_matches_the_321_closed_form():
+    # ch and maj over Av_n(321) are both fast_ch_321(n).  Complement maps
+    # Av(321) onto Av(123) and complements the descent set of p, and of p^-1
+    # after reversal, so over Av_n(123) both read that vector backwards from
+    # degree C(n, 2).
+    for stat in ("ch", "maj"):
+        decreasing = length3_polynomials(16, [(3, 2, 1)], stat)
+        increasing = length3_polynomials(16, [(1, 2, 3)], stat)
+        for n in range(17):
+            expected = fast_ch_321(n).coeffs
+            assert decreasing[n].coeffs == expected, (stat, n)
+            padded = expected + (0,) * (comb(n, 2) + 1 - len(expected))
+            assert increasing[n].coeffs == padded[::-1], (stat, n)
+    # at the bound, where the packed tallies are widest
+    top = length3_polynomials(MAX_DP_NMAX, [(3, 2, 1)], "maj")[MAX_DP_NMAX]
+    assert top.coeffs == fast_ch_321(MAX_DP_NMAX).coeffs
 
 
 def test_st_wilf_classes_bounds_per_route():
