@@ -9,11 +9,12 @@ output is deterministic: keys keep that fixed order (only elapsed_ms
 varies between identical runs), and polynomial coefficients are listed
 lowest degree first.
 
-Enumeration runs in this process unless --threads N >= 2 forks up to N
-workers (POSIX only) over interleaved first-entry shards, merged back in
-first-entry order so the output does not depend on N.  --fast excludes
---threads, --candidate excludes --size, and each verify target takes
-only its own flag, with --format after it.
+Enumeration runs in this process unless --threads N >= 2 forks
+min(N, n, max(2, CPUs)) workers (POSIX only) over interleaved
+first-entry shards, merged back in first-entry order so the output does
+not depend on N.  --fast excludes --threads, --candidate excludes
+--size, and each verify target takes only its own flag, with --format
+after it.
 
 Exit codes: 0 on success, 2 when a verification ran and failed, 1 for
 usage, parse, and resource errors.
@@ -194,12 +195,14 @@ def _avoiders(n, patterns, count, first=None):
 
 def _map_shards(shard, n, threads) -> list:
     """[shard(first=None)] here or, if threads >= 2, shard(first=f) for f = 1..n
-    in order from W = min(threads, n) forked workers (POSIX only; the CLI
-    starts no threads, so forking is safe).  Worker w takes the interleaved
-    f = w + 1, w + 1 + W, ... and pickles them back through a pipe; its
-    exception is re-raised here once every worker is reaped.
+    in order from W = min(threads, n, max(2, CPUs this process may use))
+    forked workers (POSIX only; the CLI starts no threads, so forking is
+    safe).  Worker w takes the interleaved f = w + 1, w + 1 + W, ... and
+    pickles them back through a pipe; its exception is re-raised here once
+    every worker is reaped.
     """
-    workers = min(threads, n)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(threads, n, max(2, cpus))
     if workers < 2:
         return [shard(first=None)]
     if getattr(os, "fork", None) is None:
@@ -410,7 +413,7 @@ def _add_threads(parser) -> None:
     # given --threads 1 still counts as given where another flag excludes it
     parser.add_argument(
         "--threads", type=_positive_int, default="1", metavar="N",
-        help="run enumeration shards in N forked processes (default 1: none)",
+        help="run enumeration shards in up to N forked processes, at most max(2, CPUs) (default 1: none)",
     )
 
 

@@ -96,6 +96,11 @@ def f_map(p: Sequence[int]) -> Permutation:
     return inverse(complement(reverse(p)))
 
 
+def f_image(patterns: Iterable[Sequence[int]]) -> frozenset[Permutation]:
+    """Apply f to each pattern; the avoiders of the image set are f of the avoiders (Lemma 2)."""
+    return frozenset(f_map(t) for t in normalize_patterns(patterns))
+
+
 def normalize_patterns(patterns: Iterable[Sequence[int]]) -> frozenset[Permutation]:
     """Validate a collection of patterns and collapse it to a frozenset."""
     return frozenset(check_permutation(t) for t in patterns)

@@ -10,9 +10,8 @@ Appending v at 0-based position k after the values in bitmask ``used``
 adds a *gain*: k to the major index if the entry before v is larger,
 n - v to charge if v + 1 is placed, and the number of placed values
 above v to the inversions; the avoidance search sums these per depth.
-A nonempty set of length-3 patterns has a second route,
-``length3_polynomials``: a sweep per size tallies the prefixes that reach
-each state of a length-3 search, with no avoider enumerated.
+A nonempty set of length-3 patterns has a second route, the length-3
+sweep ``length3_polynomials``, bounded by MAX_DP_NMAX.
 
 The generating polynomial of a statistic over an avoidance set is held
 as a dense vector of exact integer coefficients (Python integers never
@@ -26,7 +25,7 @@ from math import comb
 from typing import Callable, Iterable, Sequence
 
 from .errors import ExhaustionError
-from .perm_core import Permutation, _forbidden_step, _walk, f_map, normalize_patterns
+from .perm_core import Permutation, _forbidden_step, _walk, f_image, normalize_patterns
 
 MAJOR_INDEX = "major_index"
 CHARGE = "charge"
@@ -204,6 +203,11 @@ def stat_polynomial(
     return StatPolynomial.from_counts(counts, n=n, patterns=pats, stat=canonical)
 
 
+def _length3_set(patterns: frozenset[Permutation]) -> bool:
+    """Whether the length-3 sweep serves a normalized pattern set."""
+    return bool(patterns) and all(len(t) == 3 for t in patterns)
+
+
 # Largest n_max that length3_polynomials accepts.  At this bound a sweep
 # holds up to 14 002 states per level and caches 121 305 moves of 46 364
 # (r, used) pairs.
@@ -237,14 +241,14 @@ def length3_polynomials(
     """
     canonical = parse_stat(stat)
     pats = normalize_patterns(patterns)
-    if not pats or any(len(t) != 3 for t in pats):
-        raise ValueError("the memoized search takes a nonempty set of length-3 patterns")
+    if not _length3_set(pats):
+        raise ValueError("the length-3 sweep takes a nonempty set of length-3 patterns")
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
     if n_max > MAX_DP_NMAX:
-        raise ExhaustionError(f"n_max={n_max} exceeds the memoized-search bound MAX_DP_NMAX={MAX_DP_NMAX}")
+        raise ExhaustionError(f"n_max={n_max} exceeds the length-3 sweep bound MAX_DP_NMAX={MAX_DP_NMAX}")
     maj = canonical != INVERSIONS  # charge is tallied as the major index over the f-image
-    searched = frozenset(map(f_map, pats)) if canonical == CHARGE else pats
+    searched = f_image(pats) if canonical == CHARGE else pats
     steps = [_forbidden_step(t, 2 * n_max + 1) for t in searched]  # a canonical prefix has <= 2r + 1 values
     # Tallies pack coefficients `width` bits apart.  The prefixes counted by
     # one coefficient of a state that can be completed each extend, by one

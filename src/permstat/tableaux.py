@@ -331,7 +331,9 @@ def verify_involution(n: int) -> bool:
     """Check that the involution swaps each lexicographic pair (ranks 2t, 2t+1) of length n."""
     m = _pairable_count(n)
     if m > MAX_INVOLUTION_WORDS:
-        raise ExhaustionError(f"{m} two-row words at n={n} exceeds the exhaustive limit")
+        raise ExhaustionError(
+            f"{m} two-row words at n={n} exceeds the exhaustive bound MAX_INVOLUTION_WORDS={MAX_INVOLUTION_WORDS}"
+        )
     words = enumerate_two_row_syt(n)
     for a, b in zip(words, words):  # one iterator twice: consecutive pairs
         for w, image in ((a, b), (b, a)):
@@ -340,12 +342,12 @@ def verify_involution(n: int) -> bool:
     return True
 
 
-def _parity_size(k: int, bound: int) -> int:
-    """The size 2**k - 1 of the parity statements, for k in 1..bound."""
+def _parity_size(k: int, bound: int, name: str) -> int:
+    """The size 2**k - 1 of the parity statements, for k in 1..bound (the constant ``name``)."""
     if k < 1:
         raise ValueError("k must be positive")
     if k > bound:
-        raise ExhaustionError(f"k={k} exceeds the supported bound {bound}")
+        raise ExhaustionError(f"k={k} exceeds the supported bound {name}={bound}")
     return 2**k - 1
 
 
@@ -358,7 +360,7 @@ def lemma5_count(k: int) -> int:
     Q.  For k <= 3 it is cross-checked against direct enumeration, and a
     disagreement raises VerificationError.
     """
-    n = _parity_size(k, MAX_LEMMA5_K)
+    n = _parity_size(k, MAX_LEMMA5_K, "MAX_LEMMA5_K")
     total = sum(syt_count_two_row_shape(n, r) ** 2 for r in range(n // 2 + 1))
     if n <= 7:
         enumerated = sum(1 for _ in enumerate_avoiders(n, [_PATTERN_321]))
@@ -420,7 +422,7 @@ def fast_ch_321(n: int) -> StatPolynomial:
     n above MAX_FAST_N.
     """
     if n > MAX_FAST_N:
-        raise ExhaustionError(f"n={n} exceeds the fast-route limit {MAX_FAST_N}")
+        raise ExhaustionError(f"n={n} exceeds the fast-route bound MAX_FAST_N={MAX_FAST_N}")
     shapes = two_row_maj_polynomials(n)
     counts = [0] * (n * (n - 1) // 2 + 1)
     for r, shape_poly in enumerate(shapes):
@@ -451,7 +453,7 @@ def parity_polynomial(k: int, stat: str) -> StatPolynomial:
     stat = parse_stat(stat)
     if stat not in (CHARGE, MAJOR_INDEX):
         raise ValueError(f"the parity checks cover charge and major index, not {stat}")
-    n = _parity_size(k, MAX_PARITY_K)
+    n = _parity_size(k, MAX_PARITY_K, "MAX_PARITY_K")
     poly = fast_ch_321(n)._replace(stat=stat)
     if k <= 3:
         brute = stat_polynomial(n, [_PATTERN_321], stat)

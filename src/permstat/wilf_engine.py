@@ -15,14 +15,10 @@ image set (Lemma 2), and since f also carries the major index to charge
 polynomial of its f-image.  Theorems 3 and 4 are therefore stated here
 once, for charge; the expected major-index classes are their f-images.
 
-Each candidate's polynomials come from one of two routes.  A nonempty set
-of length-3 patterns takes ``statistics.length3_polynomials``, which
-sweeps the states of a length-3 search once per size up to n_max, and
-n_max above ``statistics.MAX_DP_NMAX`` (20) is refused.  Any
-other set, empty or with a pattern of another length, is enumerated size
-by size with ``stat_polynomial``, and n_max above MAX_EXHAUSTIVE (9) is
-refused.  Both refusals raise ExhaustionError before any polynomial is
-computed.
+A nonempty set of length-3 patterns takes the length-3 sweep
+(``statistics.length3_polynomials``) up to MAX_DP_NMAX; any other set is
+enumerated size by size up to MAX_EXHAUSTIVE.  Above its route's bound a
+candidate raises ExhaustionError before any polynomial is computed.
 """
 from __future__ import annotations
 
@@ -35,12 +31,14 @@ from .perm_core import (
     Permutation,
     all_permutations,
     enumerate_avoiders,
+    f_image,
     f_map,
     normalize_patterns,
 )
 from .statistics import (
     CHARGE,
     MAJOR_INDEX,
+    _length3_set,
     charge,
     length3_polynomials,
     major_index,
@@ -76,21 +74,11 @@ def _check_size(n: int) -> None:
     if n < 0:
         raise ValueError("n must be nonnegative")
     if n > MAX_EXHAUSTIVE:
-        raise ExhaustionError(f"n={n} exceeds the exhaustive bound {MAX_EXHAUSTIVE}")
-
-
-def f_image(patterns: Iterable[Sequence[int]]) -> frozenset[Permutation]:
-    """Apply f to each pattern; the avoiders of the image set are f of the avoiders."""
-    return frozenset(f_map(t) for t in normalize_patterns(patterns))
+        raise ExhaustionError(f"n={n} exceeds the exhaustive bound MAX_EXHAUSTIVE={MAX_EXHAUSTIVE}")
 
 
 def _set_key(patterns: frozenset[Permutation]) -> tuple[Permutation, ...]:
     return tuple(sorted(patterns))
-
-
-def _memoized(patterns: frozenset[Permutation]) -> bool:
-    """Whether the candidate takes the length-3 route (module docstring)."""
-    return bool(patterns) and all(len(t) == 3 for t in patterns)
 
 
 class WilfClassReport(namedtuple("WilfClassReport", "stat n_range classes witness_polynomials")):
@@ -125,9 +113,9 @@ def st_wilf_classes(
 
     Every candidate's polynomials are retained as witnesses, so a report
     is self-contained evidence for its partition.  A nonempty set of
-    length-3 patterns is served by ``length3_polynomials`` up to
-    MAX_DP_NMAX, any other set by enumeration up to MAX_EXHAUSTIVE; above
-    its bound a candidate raises ExhaustionError.
+    length-3 patterns takes the length-3 sweep up to MAX_DP_NMAX, any
+    other set enumeration up to MAX_EXHAUSTIVE; above its route's bound a
+    candidate raises ExhaustionError before anything is computed.
     """
     canonical = parse_stat(stat)
     if n_max < 0:
@@ -135,14 +123,14 @@ def st_wilf_classes(
     sets = sorted({normalize_patterns(c) for c in candidates}, key=_set_key)
     if not sets:
         raise ValueError("candidates must be nonempty")
-    enumerated = [pi for pi in sets if not _memoized(pi)]
+    enumerated = [pi for pi in sets if not _length3_set(pi)]
     if enumerated and n_max > MAX_EXHAUSTIVE:
         raise ExhaustionError(
             f"n_max={n_max} exceeds the exhaustive bound MAX_EXHAUSTIVE={MAX_EXHAUSTIVE} "
             f"of enumerated candidates such as {sorted(enumerated[0])}"
         )
     witness = {
-        pi: length3_polynomials(n_max, pi, canonical) if _memoized(pi)
+        pi: length3_polynomials(n_max, pi, canonical) if _length3_set(pi)
         else tuple(stat_polynomial(n, pi, canonical) for n in range(n_max + 1))
         for pi in sets
     }

@@ -143,7 +143,7 @@ def test_verify_theorem8():
     for target in ("theorem8", "corollary9"):
         proc = run_cli("verify", target, "--k", "8")
         assert proc.returncode == 1
-        assert "bound 7" in proc.stderr
+        assert "MAX_PARITY_K=7" in proc.stderr
 
 
 def test_verify_theorem3_and_4():
@@ -192,6 +192,13 @@ def test_st_wilf_routes_refuse_above_their_named_bounds():
         (("verify", "theorem3", "--nmax", "21"), "MAX_DP_NMAX=20"),
         (("verify", "theorem4", "--nmax", "21", "--stat", "maj"), "MAX_DP_NMAX=20"),
         (("classes", "--stat", "ch", "--candidate", "1234", "--nmax", "10"), "MAX_EXHAUSTIVE=9"),
+        (("verify", "lemma1", "--n", "10"), "MAX_EXHAUSTIVE=9"),
+        (("verify", "lemma2", "--n", "10"), "MAX_EXHAUSTIVE=9"),
+        (("verify", "theorem8", "--k", "8"), "MAX_PARITY_K=7"),
+        (("verify", "corollary9", "--k", "8"), "MAX_PARITY_K=7"),
+        (("verify", "lemma5", "--k", "11"), "MAX_LEMMA5_K=10"),
+        (("poly", "--fast", "--n", "128", "--stat", "ch", "--avoid", "321"), "MAX_FAST_N=127"),
+        (("verify", "involution", "--n", "31"), "MAX_INVOLUTION_WORDS=2000000"),
     ):
         proc = run_cli(*argv)
         assert proc.returncode == 1, argv
@@ -440,6 +447,26 @@ def test_a_worker_exception_is_raised_in_the_parent_after_every_reap(monkeypatch
     assert "shard 1 failed" in capsys.readouterr().err
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_workers_are_capped_by_the_cpus(monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    # widths above 2 too, which a 2-CPU host's own cap would never fork
+    for cpus, threads, workers in ((2, 8, 2), (8, 3, 3), (8, 8, 8)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        forks.clear()
+        assert cli._map_shards(lambda first: first, 8, threads) == list(range(1, 9))
+        assert len(forks) == workers
 
 
 def test_threads_need_fork(monkeypatch, capsys):

@@ -21,6 +21,7 @@ from permstat import (
     verify_theorem4,
     wilf_engine,
 )
+from permstat.statistics import _length3_set
 
 from helpers import cached_polynomial, catalan_dp
 
@@ -232,11 +233,30 @@ def test_st_wilf_classes_bounds_per_route():
         with pytest.raises(ExhaustionError, match=f"MAX_EXHAUSTIVE={MAX_EXHAUSTIVE}"):
             st_wilf_classes(singletons + [other], "maj", MAX_EXHAUSTIVE + 1)
     assert st_wilf_classes(singletons + [[(2, 1)]], "inv", MAX_EXHAUSTIVE).n_range == (0, MAX_EXHAUSTIVE)
-    for bad in ([], [(1, 2, 3), (1, 2)], [(1, 2, 3, 4)]):
-        with pytest.raises(ValueError):
-            length3_polynomials(4, bad, "ch")
     with pytest.raises(ValueError):
         length3_polynomials(-1, [(1, 2, 3)], "ch")
+
+
+def test_one_test_says_which_sets_the_length3_sweep_serves():
+    others = [frozenset({(2, 1)}), frozenset({(1, 2, 3), (1, 2)}), frozenset({(1, 2, 3, 4)})]
+    for pi in _subsets_of_s3() + others:
+        try:
+            length3_polynomials(4, pi, "ch")
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == (bool(pi) and pi <= set(S3)), pi
+        assert _length3_set(pi) == accepted, pi
+
+
+def test_st_wilf_classes_refuses_before_computing(monkeypatch):
+    def computed(*args, **kwargs):
+        pytest.fail(f"a polynomial was computed before the refusal: {args}")
+
+    monkeypatch.setattr(wilf_engine, "length3_polynomials", computed)
+    monkeypatch.setattr(wilf_engine, "stat_polynomial", computed)
+    with pytest.raises(ExhaustionError, match=f"MAX_EXHAUSTIVE={MAX_EXHAUSTIVE}"):
+        st_wilf_classes([[s] for s in S3] + [[(1, 2, 3, 4)]], "ch", MAX_EXHAUSTIVE + 1)
 
 
 def test_verify_lemma1_small_sizes():
