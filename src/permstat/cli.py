@@ -18,11 +18,19 @@ after it.
 
 Exit codes: 0 on success, 2 when a verification ran and failed, 1 for
 usage, parse, and resource errors.
+
+Each command imports only the library it runs: this module loads
+perm_core and statistics, and the handlers that call tableaux or
+wilf_engine import them (both stay reachable as cli.tableaux and
+cli.wilf_engine).  main() changes no process-wide state, so in-process
+callers may call it repeatedly; the program entry in __main__ adds the
+exit-time gc.freeze().
 """
 from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import io
 import itertools
 import json
@@ -31,7 +39,6 @@ import sys
 import time
 from math import factorial
 
-from . import tableaux, wilf_engine
 from .errors import ExhaustionError, VerificationError
 from .perm_core import check_permutation, enumerate_avoiders
 from .statistics import (
@@ -44,7 +51,6 @@ from .statistics import (
     stat_function,
     stat_polynomial,
 )
-from .tableaux import count_two_row, fast_ch_321, rsk_insert, tableau_shape
 
 EXIT_PASS = 0
 EXIT_ERROR = 1
@@ -265,6 +271,8 @@ def _cmd_poly(args):
         "threads": args.threads,
     }
     if args.fast:
+        from .tableaux import fast_ch_321
+
         poly = fast_ch_321(args.n)
     else:
         shard = functools.partial(stat_polynomial, args.n, patterns, args.stat)
@@ -285,24 +293,25 @@ def _cmd_avoid(args):
     if args.count:
         result = {"count": sum(parts)}
     else:
-        perms = [p for part in parts for p in part]
-        result = {"count": len(perms), "permutations": [_fmt_perm(p) for p in perms]}
+        names = [str(v) for v in range(args.n + 1)]  # value -> its text, so no int is formatted twice
+        perms = [",".join(map(names.__getitem__, p)) for part in parts for p in part]
+        result = {"count": len(perms), "permutations": perms}
     return params, result, EXIT_PASS
 
 
 def _cmd_classes(args):
+    from .wilf_engine import S3, st_wilf_classes
+
     if args.candidate:
         candidates = [_parse_patternset(text) for text in args.candidate]
     else:
-        candidates = [
-            frozenset(c) for c in itertools.combinations(wilf_engine.S3, args.size)
-        ]
+        candidates = [frozenset(c) for c in itertools.combinations(S3, args.size)]
     params = {
         "stat": args.stat,
         "nmax": args.nmax,
         "candidates": sorted(_fmt_set(c) for c in candidates),
     }
-    report = wilf_engine.st_wilf_classes(candidates, args.stat, args.nmax)
+    report = st_wilf_classes(candidates, args.stat, args.nmax)
     return params, _report_payload(report), EXIT_PASS
 
 
@@ -322,31 +331,49 @@ def _report_payload(report) -> dict:
 
 
 def _verify_lemma1(n):
-    return {"passed": wilf_engine.verify_lemma1(n), "permutations_checked": factorial(n)}
+    from .wilf_engine import verify_lemma1
+
+    return {"passed": verify_lemma1(n), "permutations_checked": factorial(n)}
 
 
 def _verify_lemma2(n):
-    mapping = wilf_engine.verify_lemma2(n)
+    from .wilf_engine import verify_lemma2
+
+    mapping = verify_lemma2(n)
     correspondence = {_fmt_perm(s): _fmt_perm(t) for s, t in sorted(mapping.items())}
     return {"passed": True, "correspondence": correspondence}
 
 
-def _verify_classes(verifier, nmax, stat):
-    return {"passed": True, **_report_payload(verifier(nmax, stat))}
+def _verify_theorem3(nmax, stat):
+    from .wilf_engine import verify_theorem3
+
+    return {"passed": True, **_report_payload(verify_theorem3(nmax, stat))}
+
+
+def _verify_theorem4(nmax, stat):
+    from .wilf_engine import verify_theorem4
+
+    return {"passed": True, **_report_payload(verify_theorem4(nmax, stat))}
 
 
 def _verify_lemma5(k):
-    count = tableaux.lemma5_count(k)
+    from .tableaux import lemma5_count
+
+    count = lemma5_count(k)
     return {"passed": count % 2 == 1, "n": 2**k - 1, "avoider_count": count}
 
 
 def _verify_parity(stat, k):
-    poly = tableaux.parity_polynomial(k, stat)
-    return {"passed": tableaux.has_parity_pattern(poly), "n": poly.n, **_coefficients(poly)}
+    from .tableaux import has_parity_pattern, parity_polynomial
+
+    poly = parity_polynomial(k, stat)
+    return {"passed": has_parity_pattern(poly), "n": poly.n, **_coefficients(poly)}
 
 
 def _verify_involution(n):
-    return {"passed": tableaux.verify_involution(n), "two_row_words": count_two_row(n)}
+    from .tableaux import count_two_row, verify_involution
+
+    return {"passed": verify_involution(n), "two_row_words": count_two_row(n)}
 
 
 _INT = {"type": int, "required": True}
@@ -356,8 +383,8 @@ _STAT = {"type": _stat_name, "default": "ch", "help": "maj | ch (default ch)"}
 _VERIFY_TARGETS = {
     "lemma1": ({"n": _INT}, _verify_lemma1),
     "lemma2": ({"n": _INT}, _verify_lemma2),
-    "theorem3": ({"nmax": _INT, "stat": _STAT}, functools.partial(_verify_classes, wilf_engine.verify_theorem3)),
-    "theorem4": ({"nmax": _INT, "stat": _STAT}, functools.partial(_verify_classes, wilf_engine.verify_theorem4)),
+    "theorem3": ({"nmax": _INT, "stat": _STAT}, _verify_theorem3),
+    "theorem4": ({"nmax": _INT, "stat": _STAT}, _verify_theorem4),
     "lemma5": ({"k": _INT}, _verify_lemma5),
     "theorem8": ({"k": _INT}, functools.partial(_verify_parity, CHARGE)),
     "corollary9": ({"k": _INT}, functools.partial(_verify_parity, MAJOR_INDEX)),
@@ -378,6 +405,8 @@ def _cmd_verify(args):
 
 
 def _cmd_rsk(args):
+    from .tableaux import rsk_insert, tableau_shape
+
     p = parse_permutation(args.perm)
     P, Q = rsk_insert(p)
     params = {"perm": _fmt_perm(p)}
@@ -390,13 +419,15 @@ def _cmd_rsk(args):
 
 
 def _cmd_involution(args):
+    from .tableaux import ballot_rank, involution_phi
+
     word = parse_word(args.word)
-    image = tableaux.involution_phi(word)  # validates the ballot word
+    image = involution_phi(word)  # validates the ballot word
     params = {"word": _fmt_word(word)}
     result = {
-        "rank": tableaux.ballot_rank(word),
+        "rank": ballot_rank(word),
         "image": _fmt_word(image),
-        "image_rank": tableaux.ballot_rank(image),
+        "image_rank": ballot_rank(image),
     }
     return params, result, EXIT_PASS
 
@@ -495,6 +526,14 @@ def main(argv=None) -> int:
     record = {"command": args.command, "parameters": params, "result": result, "elapsed_ms": elapsed_ms}
     print(_render(record, args.format))
     return code
+
+
+def __getattr__(name):
+    # the library modules that only some commands import stay reachable as cli.tableaux and
+    # cli.wilf_engine, for callers that patch them
+    if name in ("tableaux", "wilf_engine"):
+        return importlib.import_module(f".{name}", __package__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 if __name__ == "__main__":

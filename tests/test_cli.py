@@ -475,3 +475,51 @@ def test_threads_need_fork(monkeypatch, capsys):
     assert "os.fork" in capsys.readouterr().err
     single = _result(capsys, "avoid", "--n", "5", "--avoid", "321", "--count", "--threads", "1")
     assert single == {"count": 42}
+
+
+def _imported_modules(*args):
+    """The modules `python -X importtime -m permstat ARGS` imports, and its stdout."""
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "permstat", *args],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = [line for line in proc.stderr.splitlines() if line.startswith("import time:")]
+    return {line.rsplit("|", 1)[1].strip() for line in lines[1:]}, proc.stdout
+
+
+def test_each_command_imports_only_the_library_it_runs():
+    for command in (
+        ["stat", "--perm", "1", "--stat", "maj"],
+        ["avoid", "--n", "5", "--avoid", "321", "--count"],
+    ):
+        modules, _ = _imported_modules(*command)
+        assert "permstat.statistics" in modules, command
+        assert not modules & {"permstat.tableaux", "permstat.wilf_engine"}, command
+    modules, out = _imported_modules("classes", "--stat", "ch", "--size", "1", "--nmax", "5", "--format", "json")
+    assert "permstat.wilf_engine" in modules
+    assert json.loads(out)["result"]["classes"] == [["1,2,3"], ["1,3,2", "3,1,2"], ["2,1,3", "2,3,1"], ["3,2,1"]]
+    modules, out = _imported_modules("verify", "lemma5", "--k", "3", "--format", "json")
+    assert "permstat.tableaux" in modules
+    assert json.loads(out)["result"] == {"passed": True, "n": 7, "avoider_count": 429}
+
+
+def test_in_process_main_leaves_the_collector_alone(capsys):
+    import gc
+
+    frozen = gc.get_freeze_count()
+    assert cli.main(["stat", "--perm", "312", "--stat", "ch", "--format", "json"]) == 0
+    assert cli.main(["verify", "lemma1", "--n", "3"]) == 0
+    assert gc.get_freeze_count() == frozen
+    assert gc.isenabled()
+
+
+def test_a_listing_arrives_complete_through_the_program_entry():
+    proc = run_cli("avoid", "--n", "9", "--avoid", "321", "--format", "json")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    result = json.loads(proc.stdout)["result"]
+    assert result["count"] == 4862
+    perms = result["permutations"]
+    assert len(perms) == len(set(perms)) == 4862
+    assert perms[0] == "1,2,3,4,5,6,7,8,9" and perms[-1] == "9,1,2,3,4,5,6,7,8"
