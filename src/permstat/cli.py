@@ -2,10 +2,13 @@
 Command-line front end.
 
 Every subcommand parses its arguments, calls one library computation
-and renders one record, a dict with the keys command, parameters,
-result and elapsed_ms, in the chosen format.  The library validates
-permutations and ballot words; argparse checks every other flag.  JSON
-output is deterministic: keys keep that fixed order (only elapsed_ms
+and writes one record, a dict with the keys command, parameters,
+result and elapsed_ms, in the chosen format, to stdout.  Nothing is
+written before the computation finishes; then the record goes out in
+blocks of about 64 KiB as it is rendered, so a listing is held once,
+as one string per permutation.  The library validates permutations and
+ballot words; argparse checks every other flag.  JSON output is
+deterministic: keys keep that fixed order (only elapsed_ms
 varies between identical runs), and polynomial coefficients are listed
 lowest degree first.
 
@@ -31,7 +34,6 @@ from __future__ import annotations
 import argparse
 import functools
 import importlib
-import io
 import itertools
 import json
 import os
@@ -135,68 +137,98 @@ def _json_safe(value):
     return value
 
 
-def _text_block(value, indent: str) -> list[str]:
-    lines = []
+def _text_chunks(value, indent: str):
+    """The text lines of value, each ending in a newline; a flat list is one line, yielded item by item."""
     if isinstance(value, dict):
         for k, v in value.items():
             if isinstance(v, (dict, list)):
-                lines.append(f"{indent}{k}:")
-                lines.extend(_text_block(v, indent + "  "))
+                yield f"{indent}{k}:\n"
+                yield from _text_chunks(v, indent + "  ")
             else:
-                lines.append(f"{indent}{k}: {v}")
+                yield f"{indent}{k}: {v}\n"
     elif isinstance(value, list):
         if all(not isinstance(v, (dict, list)) for v in value):
-            lines.append(f"{indent}{' '.join(map(str, value))}")
+            items = map(str, value)
+            yield indent + next(items, "")
+            for item in items:
+                yield " " + item
+            yield "\n"
         else:
             for v in value:
-                lines.extend(_text_block(v, indent))
+                yield from _text_chunks(v, indent)
     else:
-        lines.append(f"{indent}{value}")
-    return lines
+        yield f"{indent}{value}\n"
 
 
-def _render_text(record: dict) -> str:
-    lines = [f"command: {record['command']}"]
-    lines.extend(_text_block(record["parameters"], "  "))
-    lines.append("result:")
-    lines.extend(_text_block(record["result"], "  "))
-    lines.append(f"elapsed_ms: {record['elapsed_ms']}")
-    return "\n".join(lines)
+def _text_record(record: dict):
+    yield f"command: {record['command']}\n"
+    yield from _text_chunks(record["parameters"], "  ")
+    yield "result:\n"
+    yield from _text_chunks(record["result"], "  ")
+    yield f"elapsed_ms: {record['elapsed_ms']}\n"
 
 
-def _csv_rows(result: dict) -> list[list]:
+def _csv_rows(result: dict):
     if "coefficients" in result:
-        rows = [["degree", "coefficient"]]
-        rows.extend([i, c] for i, c in enumerate(result["coefficients"]))
-        return rows
-    if "permutations" in result:
-        return [["permutation"]] + [[p] for p in result["permutations"]]
-    if "classes" in result:
-        rows = [["class_index", "pattern_set"]]
+        yield ["degree", "coefficient"]
+        yield from enumerate(result["coefficients"])
+    elif "permutations" in result:
+        yield ["permutation"]
+        yield from zip(result["permutations"])
+    elif "classes" in result:
+        yield ["class_index", "pattern_set"]
         for i, cls in enumerate(result["classes"]):
-            rows.extend([i, member] for member in cls)
-        return rows
-    rows = [["field", "value"]]
-    for k, v in result.items():
-        rows.append([k, json.dumps(_json_safe(v)) if isinstance(v, (dict, list)) else v])
-    return rows
+            for member in cls:
+                yield i, member
+    else:
+        yield ["field", "value"]
+        for k, v in result.items():
+            yield k, json.dumps(_json_safe(v)) if isinstance(v, (dict, list)) else v
 
 
-def _render(record: dict, fmt: str) -> str:
+class _Echo:
+    """A file whose write returns its text, so csv.writer.writerow returns the formatted row."""
+
+    @staticmethod
+    def write(text):
+        return text
+
+
+def _record_chunks(record: dict, fmt: str):
+    """The record in fmt as consecutive strings, ending in a newline."""
     if fmt == "json":
-        return json.dumps(record, indent=2)
+        return itertools.chain(json.JSONEncoder(indent=2).iterencode(record), ("\n",))
     if fmt == "csv":
         import csv  # only here, so JSON and text output do not pay for it
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerows(_csv_rows(record["result"]))
-        return buffer.getvalue().rstrip("\n")
-    return _render_text(record)
+        # every row ends in the terminator, and no row is empty
+        return map(csv.writer(_Echo(), lineterminator="\n").writerow, _csv_rows(record["result"]))
+    return _text_record(record)
+
+
+_BLOCK_CHARS = 1 << 16
+
+
+def _write_blocks(chunks, stream) -> None:
+    """Write chunks to stream joined into blocks of about _BLOCK_CHARS characters, so an
+    unbuffered stream (PYTHONUNBUFFERED=1) makes one system call per block, not per chunk."""
+    held, size = [], 0
+    for chunk in chunks:
+        held.append(chunk)
+        size += len(chunk)
+        if size >= _BLOCK_CHARS:
+            stream.write("".join(held))
+            held, size = [], 0
+    if held:
+        stream.write("".join(held))
 
 
 def _avoiders(n, patterns, count, first=None):
+    """The count of the avoiders, or their listing lines, each formatted as the walk yields it."""
     found = enumerate_avoiders(n, patterns, first=first)
-    return sum(1 for _ in found) if count else list(found)
+    if count:
+        return sum(1 for _ in found)
+    names = [str(v) for v in range(n + 1)]  # value -> its text, so no int is formatted twice
+    return [",".join(map(names.__getitem__, p)) for p in found]
 
 
 def _map_shards(shard, n, threads) -> list:
@@ -240,10 +272,11 @@ def _map_shards(shard, n, threads) -> list:
             pipe.close()  # a worker still writing gets EPIPE instead of blocking the reap
         statuses = [os.waitpid(pid, 0)[1] for pid in pids]
     parts = [None] * n
-    for w, (status, reply) in enumerate(zip(statuses, replies)):
+    for w, status in enumerate(statuses):
         if status:
             raise RuntimeError(f"shard worker {w + 1} of {workers} ended with wait status {status}")
-        error, got = pickle.loads(reply)
+        error, got = pickle.loads(replies[w])
+        replies[w] = None  # each reply is freed once loaded, not when the last one is
         if error is not None:
             raise error
         parts[w::workers] = got
@@ -293,8 +326,9 @@ def _cmd_avoid(args):
     if args.count:
         result = {"count": sum(parts)}
     else:
-        names = [str(v) for v in range(args.n + 1)]  # value -> its text, so no int is formatted twice
-        perms = [",".join(map(names.__getitem__, p)) for part in parts for p in part]
+        perms = parts[0]
+        for part in parts[1:]:
+            perms += part  # the shards' lines, joined into the first shard's list
         result = {"count": len(perms), "permutations": perms}
     return params, result, EXIT_PASS
 
@@ -524,7 +558,7 @@ def main(argv=None) -> int:
         return EXIT_ERROR
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     record = {"command": args.command, "parameters": params, "result": result, "elapsed_ms": elapsed_ms}
-    print(_render(record, args.format))
+    _write_blocks(_record_chunks(record, args.format), sys.stdout)
     return code
 
 

@@ -1,6 +1,8 @@
 import csv
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -523,3 +525,116 @@ def test_a_listing_arrives_complete_through_the_program_entry():
     perms = result["permutations"]
     assert len(perms) == len(set(perms)) == 4862
     assert perms[0] == "1,2,3,4,5,6,7,8,9" and perms[-1] == "9,1,2,3,4,5,6,7,8"
+
+
+def test_a_reader_that_closes_early_ends_the_command_quietly():
+    # the CSV listing, about 340 KB, overfills the pipe, so the writer meets the closed end
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "permstat", "avoid", "--n", "10", "--avoid", "231", "--format", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"permutation\n"
+    proc.stdout.close()
+    _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert b"Traceback" not in stderr
+    assert stderr == b""
+
+
+def test_in_process_main_raises_a_broken_pipe(monkeypatch):
+    class ClosedStdout:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", ClosedStdout())
+    with pytest.raises(BrokenPipeError):
+        cli.main(["avoid", "--n", "5", "--avoid", "321"])
+
+
+def _output(capsys, argv, fmt):
+    code = cli.main([*argv, "--format", fmt])
+    return code, capsys.readouterr().out
+
+
+def _reference_csv(result) -> str:
+    if "permutations" in result:
+        rows = [["permutation"]] + [[p] for p in result["permutations"]]
+    elif "classes" in result:
+        rows = [["class_index", "pattern_set"]]
+        rows += [[i, member] for i, cls in enumerate(result["classes"]) for member in cls]
+    else:
+        rows = [["field", "value"]]
+        rows += [[k, json.dumps(v) if isinstance(v, (dict, list)) else v] for k, v in result.items()]
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
+
+
+def _masked(text: str) -> str:
+    return re.sub(r"elapsed_ms: \d+", "elapsed_ms: 0", text)
+
+
+def test_streamed_output_matches_the_whole_string_renderers(monkeypatch, capsys):
+    from permstat.errors import VerificationError
+
+    def broken(n):
+        raise VerificationError("identity failed", witness={(1, 3, 2): (2, 1, 3)})
+
+    monkeypatch.setattr(cli.wilf_engine, "verify_lemma2", broken)
+    cases = [
+        (["avoid", "--n", "1", "--avoid", "1"], 0),  # the empty listing
+        (["avoid", "--n", "0", "--avoid", "321"], 0),  # one empty permutation
+        (["avoid", "--n", "5", "--avoid", "321", "--count"], 0),
+        (["avoid", "--n", "6", "--avoid", "2143", "--threads", "3"], 0),
+        (["classes", "--stat", "ch", "--size", "1", "--nmax", "4"], 0),
+        (["verify", "lemma2", "--n", "3"], 2),  # a failure record
+    ]
+    for argv, expected_code in cases:
+        code, out = _output(capsys, argv, "json")
+        assert code == expected_code, argv
+        record = json.loads(out)
+        assert out == json.dumps(record, indent=2) + "\n", argv
+        code, out = _output(capsys, argv, "csv")
+        assert code == expected_code, argv
+        assert out == _reference_csv(record["result"]), argv
+
+    head = "command: avoid\n  n: {n}\n  avoid:\n    {avoid}\n  count_only: {count}\n  threads: {threads}\nresult:\n"
+    texts = {
+        ("avoid", "--n", "1", "--avoid", "1"):
+            head.format(n=1, avoid="1", count=False, threads=1) + "  count: 0\n  permutations:\n    \n",
+        ("avoid", "--n", "0", "--avoid", "321"):
+            head.format(n=0, avoid="3,2,1", count=False, threads=1) + "  count: 1\n  permutations:\n    \n",
+        ("avoid", "--n", "5", "--avoid", "321", "--count"):
+            head.format(n=5, avoid="3,2,1", count=True, threads=1) + "  count: 42\n",
+        ("avoid", "--n", "3", "--avoid", "321", "--threads", "3"):
+            head.format(n=3, avoid="3,2,1", count=False, threads=3)
+            + "  count: 5\n  permutations:\n    1,2,3 1,3,2 2,1,3 2,3,1 3,1,2\n",
+    }
+    for argv, expected in texts.items():
+        code, out = _output(capsys, list(argv), "text")
+        assert code == 0, argv
+        assert _masked(out) == expected + "elapsed_ms: 0\n", argv
+    code, out = _output(capsys, ["verify", "lemma2", "--n", "3"], "text")
+    assert code == 2
+    assert _masked(out) == (
+        "command: verify\n  target: lemma2\n  n: 3\nresult:\n  passed: False\n  error: identity failed\n"
+        "  witness:\n    (1, 3, 2):\n      2 1 3\nelapsed_ms: 0\n"
+    )
+
+
+def test_output_reaches_stdout_in_blocks(monkeypatch):
+    class CountingStdout:
+        def __init__(self):
+            self.writes = []
+
+        def write(self, text):
+            self.writes.append(text)
+            return len(text)
+
+    stdout = CountingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert cli.main(["avoid", "--n", "9", "--avoid", "321", "--format", "json"]) == 0
+    out = "".join(stdout.writes)
+    assert len(out) > 100_000
+    assert len(stdout.writes) <= 4
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
