@@ -236,8 +236,10 @@ def _map_shards(shard, n, threads) -> list:
     in order from W = min(threads, n, max(2, CPUs this process may use))
     forked workers (POSIX only; the CLI starts no threads, so forking is
     safe).  Worker w takes the interleaved f = w + 1, w + 1 + W, ... and
-    pickles them back through a pipe; its exception is re-raised here once
-    every worker is reaped.
+    pickles them back through a pipe.  Each reply is unpickled as it is
+    read, one worker at a time, so no pickled reply is held whole; the first
+    failing worker's exception is re-raised here once every worker is
+    reaped.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(threads, n, max(2, cpus))
@@ -248,6 +250,7 @@ def _map_shards(shard, n, threads) -> list:
     import pickle  # only here, so single-process commands do not pay for it
 
     pids, pipes = [], []
+    parts, failure, reaped = [None] * n, None, 0
     try:
         for w in range(workers):
             read_fd, write_fd = os.pipe()
@@ -259,27 +262,38 @@ def _map_shards(shard, n, threads) -> list:
                     except Exception as exc:
                         reply = exc, None
                     with os.fdopen(write_fd, "wb") as pipe:
-                        pickle.dump(reply, pipe)
+                        pickler = pickle.Pickler(pipe)
+                        pickler.fast = True  # no memo: it would keep an entry per listed string at both ends
+                        pickler.dump(reply)
                     status = 0
                 finally:
                     os._exit(status)  # never return into the parent's code
             os.close(write_fd)
             pids.append(pid)
             pipes.append(os.fdopen(read_fd, "rb"))
-        replies = [pipe.read() for pipe in pipes]
+        for w, pipe in enumerate(pipes):  # load, then reap, one worker at a time
+            with pipe:
+                try:
+                    reply = pickle.load(pipe)  # unpickled as it streams in, never held as bytes
+                except (EOFError, pickle.UnpicklingError):
+                    reply = None  # cut short: the worker died, as its wait status shows
+            status = os.waitpid(pids[w], 0)[1]
+            reaped += 1
+            if status or reply is None:
+                failure = RuntimeError(f"shard worker {w + 1} of {workers} ended with wait status {status}")
+                break
+            error, got = reply
+            if error is not None:
+                failure = error
+                break
+            parts[w::workers] = got
     finally:
         for pipe in pipes:
             pipe.close()  # a worker still writing gets EPIPE instead of blocking the reap
-        statuses = [os.waitpid(pid, 0)[1] for pid in pids]
-    parts = [None] * n
-    for w, status in enumerate(statuses):
-        if status:
-            raise RuntimeError(f"shard worker {w + 1} of {workers} ended with wait status {status}")
-        error, got = pickle.loads(replies[w])
-        replies[w] = None  # each reply is freed once loaded, not when the last one is
-        if error is not None:
-            raise error
-        parts[w::workers] = got
+        for pid in pids[reaped:]:
+            os.waitpid(pid, 0)
+    if failure is not None:
+        raise failure
     return parts
 
 

@@ -10,6 +10,15 @@ the usual one-line-notation conventions.
 
 A pattern set is any collection of permutations; it is normalized to a
 frozenset, so duplicates collapse and order is irrelevant.
+
+Avoiders are found by one depth-first walk over prefixes that cuts dead
+ends (``enumerate_avoiders``).  A set of length-3 patterns takes the
+walk's table route: the live next values of a prefix depend only on its
+used-value mask, so they are found once per mask by ``_live_next``, the
+dead-end test that the length-3 sweep in ``statistics`` also uses.  Each
+walk's table holds at most MAX_LIVE_NEXT masks; sparse sets, which meet
+about 2**n of them, refill it as they go.  Other sets test each tried
+value against per-prefix forbidden masks.
 """
 from __future__ import annotations
 
@@ -225,6 +234,44 @@ def avoids_all(p: Sequence[int], patterns: Iterable[Sequence[int]]) -> bool:
     return not any(contains_pattern(p, pat) for pat in normalize_patterns(patterns))
 
 
+# Most used-value masks whose live next values one length-3 walk holds at
+# once.  A sparse set visits about 2**n masks (Av(123, 132) at n = 22: about
+# 330 MB if all were kept); a full table, about 3 MB, is emptied and refilled
+# from the masks the walk meets next, which lie near the last ones.
+MAX_LIVE_NEXT = 1 << 15
+
+
+def _live_next(steps: Sequence[Callable], used: int, free: int, values: Iterable[int]) -> int:
+    """The mask of the ``values`` (each an unplaced value, on the mask
+    ``free``) that may follow a prefix holding the values ``used`` without a
+    dead end: no length-3 step forbids a value of free.
+
+    A length-3 step reads only ``used`` and v, and a prefix that passed
+    this test forbids no unplaced value, so the answer depends on ``used``
+    alone.  A step never forbids v itself: its intervals lie open between
+    letters of a copy that ends at v.  The walk and the length-3 sweep both
+    cut dead ends here.
+    """
+    live = 0
+    for v in values:
+        for step in steps:
+            if step(None, 0, used, v) & free:
+                break
+        else:
+            live |= 1 << v
+    return live
+
+
+def _values_of(mask: int) -> list[int]:
+    """The values on a bitmask, highest first."""
+    out = []
+    while mask:
+        v = mask.bit_length() - 1
+        out.append(v)
+        mask ^= 1 << v
+    return out
+
+
 def enumerate_avoiders(
     n: int,
     patterns: Iterable[Sequence[int]],
@@ -239,10 +286,13 @@ def enumerate_avoiders(
     monotone under extension, so that mask only grows: a prefix whose
     mask holds a value not yet placed can never be completed and is cut
     at once, and every unused value is a safe next entry of a prefix
-    that survives.  With ``first`` set, only permutations whose first
-    entry equals it are produced: the shards for first = 1..n are
-    disjoint and their union (in that order) is the full stream, so
-    callers may enumerate shards in parallel.
+    that survives.  When every pattern that fits in n has length 3, the
+    values that may follow a prefix without a dead end depend only on the
+    set of values it holds, so each walk finds them once per set, keeping
+    at most MAX_LIVE_NEXT sets at a time.  With ``first`` set, only
+    permutations whose first entry equals it are produced: the shards for
+    first = 1..n are disjoint and their union (in that order) is the full
+    stream, so callers may enumerate shards in parallel.
 
     >>> list(enumerate_avoiders(3, [(3, 2, 1)]))
     [(1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2)]
@@ -253,7 +303,14 @@ def enumerate_avoiders(
 def _walk(n: int, patterns: Iterable[Sequence[int]], first: int | None, gain=None) -> Iterator:
     """The search behind ``enumerate_avoiders`` and ``stat_polynomial``: yields
     each avoider or, given ``gain(prefix, k, used, v)`` (what a statistic adds
-    when v follows prefix[:k]), each avoider's statistic, summed per depth."""
+    when v follows prefix[:k]), each avoider's statistic, summed per depth.
+
+    When every live pattern has length 3, a node pushes only its live
+    children (``_live_next``), which depend on the used-value mask alone.
+    The walk keeps them in a table of at most MAX_LIVE_NEXT masks, emptied
+    when full.  Other sets try each unused value in turn and OR its steps
+    into the prefix's forbidden mask.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     pats = normalize_patterns(patterns)
@@ -273,6 +330,9 @@ def _walk(n: int, patterns: Iterable[Sequence[int]], first: int | None, gain=Non
     score = [0] * n
     todo = [0] * n  # todo[k]: values still to try at position k
     todo[0] = full if first is None else 1 << first
+    # length-3 sets: used mask -> live next values; every first entry is live,
+    # as a length-3 step forbids nothing while one value is placed
+    children = {} if live and all(len(t) == 3 for t in live) else None
     k = 0
     while k >= 0:
         if not todo[k]:
@@ -285,12 +345,23 @@ def _walk(n: int, patterns: Iterable[Sequence[int]], first: int | None, gain=Non
             yield tuple(prefix) if gain is None else score[k] + gain(prefix, k, used[k], v)
             continue
         grown = used[k] | low
-        mask = forbidden[k]
-        for step in steps:
-            mask |= step(prefix, k, used[k], v)
-        if mask & ~grown:
-            continue  # dead end: some unused value can never be placed
+        if children is None:
+            mask = forbidden[k]
+            for step in steps:
+                mask |= step(prefix, k, used[k], v)
+            if mask & ~grown:
+                continue  # dead end: some unused value can never be placed
+            forbidden[k + 1] = mask
+            nxt = full & ~grown
+        else:
+            nxt = children.get(grown)
+            if nxt is None:
+                free = full & ~grown
+                nxt = _live_next(steps, grown, free, _values_of(free))
+                if len(children) == MAX_LIVE_NEXT:
+                    children.clear()  # start again from the masks near this node
+                children[grown] = nxt
         if gain is not None:
             score[k + 1] = score[k] + gain(prefix, k, used[k], v)
         k += 1
-        used[k], forbidden[k], todo[k] = grown, mask, full & ~grown
+        used[k], todo[k] = grown, nxt

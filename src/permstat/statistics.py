@@ -25,7 +25,7 @@ from math import comb
 from typing import Callable, Iterable, Sequence
 
 from .errors import ExhaustionError
-from .perm_core import Permutation, _forbidden_step, _walk, f_image, normalize_patterns
+from .perm_core import Permutation, _forbidden_step, _live_next, _walk, f_image, normalize_patterns
 
 MAJOR_INDEX = "major_index"
 CHARGE = "charge"
@@ -232,7 +232,8 @@ def length3_polynomials(
     statistic so far, and extends them by one entry: a descent adds k to
     the major index, and an entry with j unplaced values below it adds j
     inversions.  A state's moves are found once, on a canonical prefix
-    with one placed value per occupied gap, and serve every size.  Charge
+    with one placed value per occupied gap, by the walk's own dead-end
+    test ``perm_core._live_next``, and serve every size.  Charge
     is the major index over the f-image (Lemmas 1 and 2).  Raises
     ExhaustionError above MAX_DP_NMAX.
 
@@ -266,16 +267,14 @@ def length3_polynomials(
         value 2g + 1 in each occupied gap g (bitmask ``used``); placing v
         leaves the gap mask ``merged``.
         """
-        free = (4**r - 1) // 3 << 2
+        live = _live_next(steps, used, (4**r - 1) // 3 << 2, range(2, 2 * r + 1, 2))
         out = []
-        for j in range(r):
-            v = 2 * j + 2  # the unplaced value with j unplaced values below it
-            for step in steps:
-                if step(None, 0, used, v) & (free ^ 1 << v):
-                    break  # the walk's dead-end cut: an unplaced value would be forbidden
-            else:
-                # gaps j and j + 1 merge into gap j, holding v - 1; higher values drop by 2
-                out.append((j, v, (used & ((1 << (v - 1)) - 1)) | (1 << (v - 1)) | (used >> (v + 2) << v)))
+        while live:
+            low = live & -live
+            live ^= low
+            v = low.bit_length() - 1  # the unplaced value with j = v // 2 - 1 unplaced values below it
+            # gaps j and j + 1 merge into gap j, holding v - 1; higher values drop by 2
+            out.append((v // 2 - 1, v, (used & ((low >> 1) - 1)) | (low >> 1) | (used >> (v + 2) << v)))
         return out
 
     polys = []

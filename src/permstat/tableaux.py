@@ -357,11 +357,16 @@ def lemma5_count(k: int) -> int:
 
     The count is the sum of squared two-row shape counts, one square per
     insertion-tableau shape (n-r, r): f choices of P times f choices of
-    Q.  For k <= 3 it is cross-checked against direct enumeration, and a
-    disagreement raises VerificationError.
+    Q, where f = C(n, r) - C(n, r-1) (``syt_count_two_row_shape``).  Each
+    shape takes its binomials from the previous one's, C(n, r+1) =
+    C(n, r) (n-r) / (r+1).  For k <= 3 it is cross-checked against direct
+    enumeration, and a disagreement raises VerificationError.
     """
     n = _parity_size(k, MAX_LEMMA5_K, "MAX_LEMMA5_K")
-    total = sum(syt_count_two_row_shape(n, r) ** 2 for r in range(n // 2 + 1))
+    total, below, binom = 0, 0, 1  # C(n, r - 1) and C(n, r), at r = 0
+    for r in range(n // 2 + 1):
+        total += (binom - below) ** 2
+        below, binom = binom, binom * (n - r) // (r + 1)
     if n <= 7:
         enumerated = sum(1 for _ in enumerate_avoiders(n, [_PATTERN_321]))
         if enumerated != total:

@@ -451,6 +451,22 @@ def test_a_worker_exception_is_raised_in_the_parent_after_every_reap(monkeypatch
         os.waitpid(-1, os.WNOHANG)
 
 
+def _shard_dying_at_two(first):
+    if first == 2:
+        os._exit(3)  # the worker ends before it replies
+    return first
+
+
+def test_replies_are_loaded_a_worker_at_a_time_and_a_dead_worker_is_reported():
+    # replies far above a pipe's buffer: each worker blocks until its turn to be read
+    lines = cli._map_shards(lambda first: [str(first)] * 100_000, 4, 2)
+    assert lines == [[str(first)] * 100_000 for first in range(1, 5)]
+    with pytest.raises(RuntimeError, match="ended with wait status 768"):
+        cli._map_shards(_shard_dying_at_two, 5, 2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_workers_are_capped_by_the_cpus(monkeypatch):
     forks = []
     fork = os.fork

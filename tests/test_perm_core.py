@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from permstat import (
     all_permutations,
     avoids_all,
+    charge,
     check_permutation,
     complement,
     contains_pattern,
@@ -14,9 +15,13 @@ from permstat import (
     f_map,
     identity,
     inverse,
+    inversions,
     is_permutation,
+    major_index,
     reverse,
+    stat_polynomial,
 )
+from permstat import perm_core
 from permstat.perm_core import _forbidden_step
 
 from helpers import catalan_dp, contained_patterns, oracle_avoiders, oracle_contains
@@ -290,3 +295,45 @@ def test_interleaved_walks_keep_their_own_steps():
             got_b.append(y)
     assert got_a == [p for p in all_permutations(7) if (1, 2, 3, 4) not in contained_patterns(p, 4)]
     assert got_b == [p for p in oracle_avoiders(6, [(1, 2, 3, 4)]) if p[0] == 3]
+
+
+@pytest.mark.parametrize("bound", [1, 8])
+def test_length3_walks_past_their_table_bound_equal_filtering(monkeypatch, bound):
+    # a table of 1 or 8 masks is emptied over and over within one walk; every
+    # shard's avoiders and statistics must still be those of filtering S_n
+    monkeypatch.setattr(perm_core, "MAX_LIVE_NEXT", bound)
+    pattern_sets = [c for r in range(1, 7) for c in itertools.combinations(S3, r)]
+    assert len(pattern_sets) == 63
+    stats = (("ch", charge), ("maj", major_index), ("inv", inversions))
+    for n in range(8):
+        perms = list(all_permutations(n))
+        contained = [contained_patterns(p, 3) for p in perms]
+        values = {p: [fn(p) for _, fn in stats] for p in perms}
+        for patterns in pattern_sets:
+            avoiders = [p for p, seen in zip(perms, contained) if seen.isdisjoint(patterns)]
+            for first in range(n + 1):  # 0: the whole stream
+                expected = [p for p in avoiders if not first or p[0] == first]
+                assert list(enumerate_avoiders(n, patterns, first=first or None)) == expected
+                for s, (name, _) in enumerate(stats):
+                    counts = [0] * (n * (n - 1) // 2 + 1)
+                    for p in expected:
+                        counts[values[p][s]] += 1
+                    got = stat_polynomial(n, patterns, name, first=first or None)
+                    assert list(got.coeffs) + [0] * (len(counts) - len(got.coeffs)) == counts, (n, patterns, first, name)
+
+
+def test_a_length3_walk_searches_each_used_mask_once_within_its_bound(monkeypatch):
+    searched = []
+    live_next = perm_core._live_next
+
+    def recording_live_next(steps, used, free, values):
+        searched.append(used)
+        return live_next(steps, used, free, values)
+
+    monkeypatch.setattr(perm_core, "_live_next", recording_live_next)
+    assert sum(1 for _ in enumerate_avoiders(10, [(3, 2, 1)])) == catalan_dp(10)
+    assert len(searched) == len(set(searched)) <= 2**10  # 16 796 avoiders from at most 1024 masks
+    searched.clear()
+    monkeypatch.setattr(perm_core, "MAX_LIVE_NEXT", 1)
+    assert sum(1 for _ in enumerate_avoiders(10, [(3, 2, 1)])) == catalan_dp(10)
+    assert len(searched) > 2**10  # past the bound a mask is searched again on a later visit

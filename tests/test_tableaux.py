@@ -377,8 +377,13 @@ def test_verify_lemma5():
 
 
 def test_lemma5_count_is_the_catalan_number():
-    for k in range(1, 6):
-        assert lemma5_count(k) == catalan_dp(2**k - 1)
+    # every k up to the bound: the squares of comb's shape counts and Catalan(n)
+    for k in range(1, 11):
+        n = 2**k - 1
+        squares = sum(syt_count_two_row_shape(n, r) ** 2 for r in range(n // 2 + 1))
+        assert lemma5_count(k) == squares == comb(2 * n, n) // (n + 1), k
+        if k <= 5:
+            assert lemma5_count(k) == catalan_dp(n)
     with pytest.raises(ExhaustionError):
         lemma5_count(11)
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -136,6 +137,19 @@ def test_length3_route_equals_enumeration_for_every_subset_of_s3():
         for pi in candidates:
             expected = tuple(cached_polynomial(n, tuple(sorted(pi)), stat) for n in range(11))
             assert report.witness_polynomials[pi] == expected, (sorted(pi), stat)
+
+
+def test_length3_polynomials_of_every_subset_of_s3_are_unchanged_to_10():
+    # the sha256 of every polynomial at n_max 10, for all 63 nonempty subsets
+    # of S_3 under ch, maj and inv, as recorded from the sweep when it equaled
+    # enumeration (the test above); a change to its moves must keep it
+    digest = hashlib.sha256()
+    for stat in ("ch", "maj", "inv"):
+        for r in range(1, 7):
+            for patterns in itertools.combinations(sorted(S3), r):
+                for poly in length3_polynomials(10, patterns, stat):
+                    digest.update(repr((stat, patterns, poly.n, poly.coeffs)).encode())
+    assert digest.hexdigest() == "73f773991a30d43579ec79092bd9371ae6e0a7e02ab690b7d838bc9dc19ebdb3"
 
 
 def test_st_wilf_classes_enumerates_only_the_other_candidates(monkeypatch):
