@@ -24,16 +24,14 @@ usage, parse, and resource errors.
 
 Each command imports only the library it runs: this module loads
 perm_core and statistics, and the handlers that call tableaux or
-wilf_engine import them (both stay reachable as cli.tableaux and
-cli.wilf_engine).  main() changes no process-wide state, so in-process
-callers may call it repeatedly; the program entry in __main__ adds the
-exit-time gc.freeze().
+wilf_engine import them.  main() changes no process-wide state, so
+in-process callers may call it repeatedly; the program entry in __main__
+adds the exit-time gc.freeze().
 """
 from __future__ import annotations
 
 import argparse
 import functools
-import importlib
 import itertools
 import json
 import os
@@ -574,14 +572,6 @@ def main(argv=None) -> int:
     record = {"command": args.command, "parameters": params, "result": result, "elapsed_ms": elapsed_ms}
     _write_blocks(_record_chunks(record, args.format), sys.stdout)
     return code
-
-
-def __getattr__(name):
-    # the library modules that only some commands import stay reachable as cli.tableaux and
-    # cli.wilf_engine, for callers that patch them
-    if name in ("tableaux", "wilf_engine"):
-        return importlib.import_module(f".{name}", __package__)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 if __name__ == "__main__":

@@ -11,14 +11,20 @@ the usual one-line-notation conventions.
 A pattern set is any collection of permutations; it is normalized to a
 frozenset, so duplicates collapse and order is irrelevant.
 
-Avoiders are found by one depth-first walk over prefixes that cuts dead
-ends (``enumerate_avoiders``).  A set of length-3 patterns takes the
-walk's table route: the live next values of a prefix depend only on its
-used-value mask, so they are found once per mask by ``_live_next``, the
-dead-end test that the length-3 sweep in ``statistics`` also uses.  Each
-walk's table holds at most MAX_LIVE_NEXT masks; sparse sets, which meet
-about 2**n of them, refill it as they go.  Other sets test each tried
-value against per-prefix forbidden masks.
+Avoiders are found by one depth-first walk over prefixes
+(``enumerate_avoiders``).  Each pattern has a step (``_forbidden_step``):
+the values that would complete a copy of it if they came right after a
+new entry v.  A value v may follow a prefix iff no step forbids a value
+still unplaced after v; otherwise that value completes a copy wherever
+it goes, and the prefix is cut at once as a dead end.  So a kept prefix
+has forbidden only values it holds, and the rule needs nothing carried
+along the prefix.  ``_live_next`` is the one place that applies it.  For
+a set of length-3 patterns a step reads only the placed values and v, so
+the answer depends on the used-value mask alone: the walk keeps it in a
+table of at most MAX_LIVE_NEXT masks (sparse sets, which meet about 2**n
+of them, refill it as they go), and the length-3 sweep in ``statistics``
+asks the same question of its canonical prefixes.  Other sets try each
+unplaced value in turn.
 """
 from __future__ import annotations
 
@@ -204,9 +210,9 @@ def contains_pattern(p: Sequence[int], pattern: Sequence[int]) -> bool:
 
     The pattern must be a permutation (ValueError otherwise).  A pattern
     longer than p is never contained; the empty pattern is contained in
-    everything.  One left-to-right pass keeps the bitmask of values that
-    would complete a copy, as ``enumerate_avoiders`` does; p contains the
-    pattern iff some entry lands on that mask.
+    everything.  One left-to-right pass ORs the pattern's steps into the
+    bitmask of values that would complete a copy; p contains the pattern
+    iff some entry lands on that mask.
     Length-3 patterns update the mask in constant time per entry.
 
     >>> contains_pattern((3, 2, 8, 5, 7, 4, 6, 1, 9), (1, 2, 3))
@@ -241,35 +247,27 @@ def avoids_all(p: Sequence[int], patterns: Iterable[Sequence[int]]) -> bool:
 MAX_LIVE_NEXT = 1 << 15
 
 
-def _live_next(steps: Sequence[Callable], used: int, free: int, values: Iterable[int]) -> int:
-    """The mask of the ``values`` (each an unplaced value, on the mask
-    ``free``) that may follow a prefix holding the values ``used`` without a
-    dead end: no length-3 step forbids a value of free.
+def _live_next(steps: Sequence[Callable], prefix: Sequence[int] | None, k: int, used: int, free: int, candidates: int) -> int:
+    """The mask of the ``candidates`` v that may follow prefix[:k] (values
+    ``used``) without a dead end: no step forbids a value of ``free``, the
+    unplaced values.  A step never forbids v itself (its intervals lie open
+    between letters of a copy that ends at v), so ``free`` may hold v.
 
-    A length-3 step reads only ``used`` and v, and a prefix that passed
-    this test forbids no unplaced value, so the answer depends on ``used``
-    alone.  A step never forbids v itself: its intervals lie open between
-    letters of a copy that ends at v.  The walk and the length-3 sweep both
-    cut dead ends here.
+    This is the search's one dead-end test (see the module docstring).  It
+    stops at the first step that forbids a free value; a stateful step
+    skipped there belongs to a dead child, which the walk never enters.
     """
     live = 0
-    for v in values:
+    while candidates:
+        low = candidates & -candidates
+        candidates ^= low
+        v = low.bit_length() - 1
         for step in steps:
-            if step(None, 0, used, v) & free:
+            if step(prefix, k, used, v) & free:
                 break
         else:
-            live |= 1 << v
+            live |= low
     return live
-
-
-def _values_of(mask: int) -> list[int]:
-    """The values on a bitmask, highest first."""
-    out = []
-    while mask:
-        v = mask.bit_length() - 1
-        out.append(v)
-        mask ^= 1 << v
-    return out
 
 
 def enumerate_avoiders(
@@ -281,15 +279,8 @@ def enumerate_avoiders(
     """
     Yield the size-n permutations avoiding every pattern, in lexicographic order.
 
-    Builds permutations prefix by prefix, carrying the bitmask of values
-    whose appending would complete a forbidden pattern.  Containment is
-    monotone under extension, so that mask only grows: a prefix whose
-    mask holds a value not yet placed can never be completed and is cut
-    at once, and every unused value is a safe next entry of a prefix
-    that survives.  When every pattern that fits in n has length 3, the
-    values that may follow a prefix without a dead end depend only on the
-    set of values it holds, so each walk finds them once per set, keeping
-    at most MAX_LIVE_NEXT sets at a time.  With ``first`` set, only
+    Builds permutations prefix by prefix and cuts each dead end at once,
+    by the rule in the module docstring.  With ``first`` set, only
     permutations whose first entry equals it are produced: the shards for
     first = 1..n are disjoint and their union (in that order) is the full
     stream, so callers may enumerate shards in parallel.
@@ -306,10 +297,9 @@ def _walk(n: int, patterns: Iterable[Sequence[int]], first: int | None, gain=Non
     when v follows prefix[:k]), each avoider's statistic, summed per depth.
 
     When every live pattern has length 3, a node pushes only its live
-    children (``_live_next``), which depend on the used-value mask alone.
-    The walk keeps them in a table of at most MAX_LIVE_NEXT masks, emptied
-    when full.  Other sets try each unused value in turn and OR its steps
-    into the prefix's forbidden mask.
+    children, kept per used-value mask in a table of at most MAX_LIVE_NEXT
+    masks, emptied when full.  Other sets test each unplaced value as it is
+    tried.  Both routes ask ``_live_next``.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -325,8 +315,7 @@ def _walk(n: int, patterns: Iterable[Sequence[int]], first: int | None, gain=Non
     steps = [_forbidden_step(t, n) for t in live]  # per walk: some steps hold state
     full = (1 << (n + 1)) - 2  # values 1..n
     prefix = [0] * n
-    used = [0] * n  # used[k], forbidden[k], score[k]: of the prefix of length k
-    forbidden = [0] * n
+    used = [0] * n  # used[k], score[k]: of the prefix of length k
     score = [0] * n
     todo = [0] * n  # todo[k]: values still to try at position k
     todo[0] = full if first is None else 1 << first
@@ -345,19 +334,15 @@ def _walk(n: int, patterns: Iterable[Sequence[int]], first: int | None, gain=Non
             yield tuple(prefix) if gain is None else score[k] + gain(prefix, k, used[k], v)
             continue
         grown = used[k] | low
+        free = full & ~grown
         if children is None:
-            mask = forbidden[k]
-            for step in steps:
-                mask |= step(prefix, k, used[k], v)
-            if mask & ~grown:
-                continue  # dead end: some unused value can never be placed
-            forbidden[k + 1] = mask
-            nxt = full & ~grown
+            if not _live_next(steps, prefix, k, used[k], free, low):
+                continue  # dead end: some unplaced value can never be placed
+            nxt = free
         else:
             nxt = children.get(grown)
             if nxt is None:
-                free = full & ~grown
-                nxt = _live_next(steps, grown, free, _values_of(free))
+                nxt = _live_next(steps, prefix, k + 1, grown, free, free)
                 if len(children) == MAX_LIVE_NEXT:
                     children.clear()  # start again from the masks near this node
                 children[grown] = nxt

@@ -267,7 +267,8 @@ def length3_polynomials(
         value 2g + 1 in each occupied gap g (bitmask ``used``); placing v
         leaves the gap mask ``merged``.
         """
-        live = _live_next(steps, used, (4**r - 1) // 3 << 2, range(2, 2 * r + 1, 2))
+        free = (4**r - 1) // 3 << 2  # the unplaced values 2, 4, ..., 2r
+        live = _live_next(steps, None, 0, used, free, free)
         out = []
         while live:
             low = live & -live

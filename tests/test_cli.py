@@ -265,7 +265,7 @@ def test_no_subcommand_prints_usage():
 
 
 def test_exit_code_two_on_verified_failure(monkeypatch, capsys):
-    monkeypatch.setattr(cli.wilf_engine, "verify_lemma1", lambda n: False)
+    monkeypatch.setattr("permstat.wilf_engine.verify_lemma1", lambda n: False)
     rc = cli.main(["verify", "lemma1", "--n", "3", "--format", "json"])
     record = json.loads(capsys.readouterr().out)
     assert rc == 2
@@ -278,7 +278,7 @@ def test_exit_code_two_on_verification_error(monkeypatch, capsys):
     def boom(n):
         raise VerificationError("identity failed", witness=(2, 1))
 
-    monkeypatch.setattr(cli.wilf_engine, "verify_lemma2", boom)
+    monkeypatch.setattr("permstat.wilf_engine.verify_lemma2", boom)
     rc = cli.main(["verify", "lemma2", "--n", "3", "--format", "json"])
     record = json.loads(capsys.readouterr().out)
     assert rc == 2
@@ -394,7 +394,7 @@ def test_verification_failure_record_keeps_its_parameters(monkeypatch, capsys):
     def boom(n):
         raise VerificationError("identity failed")
 
-    monkeypatch.setattr(cli.wilf_engine, "verify_lemma2", boom)
+    monkeypatch.setattr("permstat.wilf_engine.verify_lemma2", boom)
     rc = cli.main(["verify", "lemma2", "--n", "4", "--format", "json"])
     record = json.loads(capsys.readouterr().out)
     assert rc == 2
@@ -403,7 +403,7 @@ def test_verification_failure_record_keeps_its_parameters(monkeypatch, capsys):
 
 
 def test_exit_code_two_on_a_broken_involution(monkeypatch, capsys):
-    monkeypatch.setattr(cli.tableaux, "involution_phi", lambda w: w)
+    monkeypatch.setattr("permstat.tableaux.involution_phi", lambda w: w)
     rc = cli.main(["verify", "involution", "--n", "7", "--format", "json"])
     record = json.loads(capsys.readouterr().out)
     assert rc == 2
@@ -596,7 +596,7 @@ def test_streamed_output_matches_the_whole_string_renderers(monkeypatch, capsys)
     def broken(n):
         raise VerificationError("identity failed", witness={(1, 3, 2): (2, 1, 3)})
 
-    monkeypatch.setattr(cli.wilf_engine, "verify_lemma2", broken)
+    monkeypatch.setattr("permstat.wilf_engine.verify_lemma2", broken)
     cases = [
         (["avoid", "--n", "1", "--avoid", "1"], 0),  # the empty listing
         (["avoid", "--n", "0", "--avoid", "321"], 0),  # one empty permutation

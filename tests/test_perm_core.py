@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from permstat import (
+    StatPolynomial,
     all_permutations,
     avoids_all,
     charge,
@@ -24,7 +25,7 @@ from permstat import (
 from permstat import perm_core
 from permstat.perm_core import _forbidden_step
 
-from helpers import catalan_dp, contained_patterns, oracle_avoiders, oracle_contains
+from helpers import catalan_dp, contained_patterns, containment_table, oracle_avoiders, oracle_contains
 
 S3 = list(itertools.permutations((1, 2, 3)))
 S4 = list(itertools.permutations((1, 2, 3, 4)))
@@ -283,6 +284,42 @@ def test_contains_pattern_agrees_with_oracle_on_fixed_endings():
                     assert oracle_contains(p, pattern) == (pattern in contained)
 
 
+# Sets that pair a head-mask pattern (one ending in its two largest or two
+# smallest letters, whose step keeps per-walk state) or 2143 with a step of
+# another kind: a live child must pass every step, and a dead one may skip some
+MIXED_SETS = [
+    [(1, 2, 3, 4), (2, 1, 4, 3)],
+    [(1, 2, 3, 4), (3, 1, 2)],
+    [(4, 3, 2, 1), (1, 3, 2, 4)],
+    [(2, 1, 3, 4), (2, 3, 1)],
+    [(1, 2, 3, 4, 5), (2, 1, 4, 3)],
+    [(2, 1, 3, 4, 5), (1, 3, 2)],
+    [(2, 1, 4, 3), (3, 1, 2)],
+]
+
+
+def test_mixed_sets_and_their_shards_equal_filtering():
+    stats = (("ch", charge), ("maj", major_index), ("inv", inversions))
+    targets = {t for patterns in MIXED_SETS for t in patterns}
+    for n in range(9):
+        contained = containment_table(n, targets)
+        if n <= 6:  # the deletion table stays tied to the subsequence oracle
+            assert all(seen == {t for t in targets if t in contained_patterns(p, len(t))} for p, seen in contained.items())
+        values = {p: [fn(p) for _, fn in stats] for p in contained}
+        for patterns in MIXED_SETS:
+            avoiders = [p for p, seen in contained.items() if seen.isdisjoint(patterns)]
+            assert list(enumerate_avoiders(n, patterns)) == avoiders, (n, patterns)
+            for first in range(1, n + 1):
+                expected = [p for p in avoiders if p[0] == first]
+                assert list(enumerate_avoiders(n, patterns, first=first)) == expected, (n, patterns, first)
+                for s, (name, _) in enumerate(stats):
+                    counts = [0] * (n * (n - 1) // 2 + 1)
+                    for p in expected:
+                        counts[values[p][s]] += 1
+                    got = stat_polynomial(n, patterns, name, first=first)
+                    assert got == StatPolynomial.from_counts(counts, n=n, patterns=patterns, stat=name), (n, patterns, first, name)
+
+
 def test_interleaved_walks_keep_their_own_steps():
     # the head-mask step of 1234 holds per-walk state; two live walks must not share it
     a = enumerate_avoiders(7, [(1, 2, 3, 4)])
@@ -326,9 +363,10 @@ def test_a_length3_walk_searches_each_used_mask_once_within_its_bound(monkeypatc
     searched = []
     live_next = perm_core._live_next
 
-    def recording_live_next(steps, used, free, values):
-        searched.append(used)
-        return live_next(steps, used, free, values)
+    def recording_live_next(steps, prefix, k, used, free, candidates):
+        if candidates == free:  # the table route asks about every unplaced value
+            searched.append(used)
+        return live_next(steps, prefix, k, used, free, candidates)
 
     monkeypatch.setattr(perm_core, "_live_next", recording_live_next)
     assert sum(1 for _ in enumerate_avoiders(10, [(3, 2, 1)])) == catalan_dp(10)

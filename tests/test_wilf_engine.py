@@ -10,11 +10,16 @@ from permstat import (
     MAX_EXHAUSTIVE,
     ExhaustionError,
     S3,
+    StatPolynomial,
     VerificationError,
+    all_permutations,
+    charge,
     f_image,
     f_map,
     fast_ch_321,
+    inversions,
     length3_polynomials,
+    major_index,
     st_wilf_classes,
     verify_lemma1,
     verify_lemma2,
@@ -24,7 +29,7 @@ from permstat import (
 )
 from permstat.statistics import _length3_set
 
-from helpers import cached_polynomial, catalan_dp
+from helpers import cached_polynomial, catalan_dp, contained_patterns
 
 # Image of each length-3 pattern under f, written out independently of f_map.
 F_CORRESPONDENCE = {
@@ -137,6 +142,26 @@ def test_length3_route_equals_enumeration_for_every_subset_of_s3():
         for pi in candidates:
             expected = tuple(cached_polynomial(n, tuple(sorted(pi)), stat) for n in range(11))
             assert report.witness_polynomials[pi] == expected, (sorted(pi), stat)
+
+
+def test_length3_polynomials_of_every_subset_of_s3_equal_filtering_to_7():
+    # brute force, sharing no code with the search: the test above compares
+    # the sweep with the walk, and both cut dead ends in perm_core._live_next
+    stats = {"ch": charge, "maj": major_index, "inv": inversions}
+    tables = []  # per n: (length-3 patterns in p, statistics of p) for p in S_n
+    for n in range(8):
+        tables.append([(contained_patterns(p, 3), {s: fn(p) for s, fn in stats.items()}) for p in all_permutations(n)])
+    for r in range(1, 7):
+        for patterns in itertools.combinations(S3, r):
+            for stat in stats:
+                got = length3_polynomials(7, patterns, stat)
+                for n, table in enumerate(tables):
+                    counts = [0] * (n * (n - 1) // 2 + 1)
+                    for seen, values in table:
+                        if seen.isdisjoint(patterns):
+                            counts[values[stat]] += 1
+                    expected = StatPolynomial.from_counts(counts, n=n, patterns=patterns, stat=stat)
+                    assert got[n] == expected, (n, patterns, stat)
 
 
 def test_length3_polynomials_of_every_subset_of_s3_are_unchanged_to_10():
