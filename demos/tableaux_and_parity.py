@@ -55,9 +55,11 @@ print(f"  coefficient sum {poly.total()} (a Catalan number),")
 print(f"  constant coefficient {poly.coeffs[0]},")
 print(f"  higher coefficients all even: {all(c % 2 == 0 for c in poly.coeffs[1:])}")
 
-# The evenness has a bijective witness: ranks pair 2t with 2t+1, giving a
-# fixed-point-free involution on the two-row words whenever their number is
-# even -- which happens exactly at sizes 2**k - 1.
+# The number of two-row words is even exactly at sizes 2**k - 1, and there
+# pairing ranks 2t with 2t+1 is a fixed-point-free involution on them.  The
+# pairing follows rank order only: it keeps neither the shape nor the charge
+# of the tableau, so it witnesses the even word count, not the even
+# coefficients above.
 print()
 print(f"two-row words at size 7: {count_two_row(7)} (even)")
 w = (1, 1, 2, 1, 2, 1, 1)

@@ -306,8 +306,8 @@ def _cmd_stat(args):
 
 def _cmd_poly(args):
     patterns = _parse_pattern_flags(args.avoid)
-    if args.fast and (args.stat != CHARGE or patterns != frozenset({(3, 2, 1)})):
-        raise CommandError("--fast applies only to --stat ch with exactly --avoid 321")
+    if args.fast and patterns != frozenset({(3, 2, 1)}):
+        raise CommandError("--fast needs exactly --avoid 321")
     params = {
         "n": args.n,
         "avoid": _fmt_patterns(patterns),
@@ -318,7 +318,7 @@ def _cmd_poly(args):
     if args.fast:
         from .tableaux import fast_ch_321
 
-        poly = fast_ch_321(args.n)
+        poly = fast_ch_321(args.n, args.stat)
     else:
         shard = functools.partial(stat_polynomial, args.n, patterns, args.stat)
         poly = merge_polynomials(_map_shards(shard, args.n, args.threads))
@@ -390,16 +390,10 @@ def _verify_lemma2(n):
     return {"passed": True, "correspondence": correspondence}
 
 
-def _verify_theorem3(nmax, stat):
-    from .wilf_engine import verify_theorem3
+def _verify_report(check, nmax, stat):
+    from . import wilf_engine
 
-    return {"passed": True, **_report_payload(verify_theorem3(nmax, stat))}
-
-
-def _verify_theorem4(nmax, stat):
-    from .wilf_engine import verify_theorem4
-
-    return {"passed": True, **_report_payload(verify_theorem4(nmax, stat))}
+    return {"passed": True, **_report_payload(getattr(wilf_engine, check)(nmax, stat))}
 
 
 def _verify_lemma5(k):
@@ -429,8 +423,8 @@ _STAT = {"type": _stat_name, "default": "ch", "help": "maj | ch (default ch)"}
 _VERIFY_TARGETS = {
     "lemma1": ({"n": _INT}, _verify_lemma1),
     "lemma2": ({"n": _INT}, _verify_lemma2),
-    "theorem3": ({"nmax": _INT, "stat": _STAT}, _verify_theorem3),
-    "theorem4": ({"nmax": _INT, "stat": _STAT}, _verify_theorem4),
+    "theorem3": ({"nmax": _INT, "stat": _STAT}, functools.partial(_verify_report, "verify_theorem3")),
+    "theorem4": ({"nmax": _INT, "stat": _STAT}, functools.partial(_verify_report, "verify_theorem4")),
     "lemma5": ({"k": _INT}, _verify_lemma5),
     "theorem8": ({"k": _INT}, functools.partial(_verify_parity, CHARGE)),
     "corollary9": ({"k": _INT}, functools.partial(_verify_parity, MAJOR_INDEX)),
@@ -512,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--avoid", action="append", metavar="PATTERN", help="forbidden pattern (repeatable)")
     p.add_argument("--stat", required=True, type=_stat_name, help="maj | ch | inv")
     route = p.add_mutually_exclusive_group()
-    route.add_argument("--fast", action="store_true", help="tableau route; only for --stat ch --avoid 321")
+    route.add_argument("--fast", action="store_true", help="closed form over 321-avoiders; only for --stat ch or maj with exactly --avoid 321")
     _add_threads(route)
     _add_format(p)
     p.set_defaults(handler=_cmd_poly)

@@ -37,10 +37,13 @@ _PATTERN_321 = (3, 2, 1)
 
 # Refusal limits, so that no input runs for an unbounded time: the
 # closed form costs O(n**3) big-integer steps (n = 127 in a fraction of a
-# second); the involution check walks every word.
+# second); ranking and unranking a word take about six times as long per
+# doubling of its length (under half a second at 2047 letters); the
+# involution check walks every word.
 MAX_PARITY_K = 7
 MAX_FAST_N = 2**MAX_PARITY_K - 1
 MAX_LEMMA5_K = 10
+MAX_INVOLUTION_N = 2**11 - 1
 MAX_INVOLUTION_WORDS = 2_000_000
 
 
@@ -307,20 +310,31 @@ def involution_phi(word: Sequence[int]) -> BallotWord:
     A fixed-point-free involution on the two-row ballot words of one length.
 
     Pairs lexicographic ranks 2t and 2t+1, so applying it twice is the
-    identity and no word maps to itself.  Requires the number of two-row
+    identity and no word maps to itself.  It needs the number of two-row
     words to be even, which holds exactly at sizes of the form 2**k - 1;
-    other sizes are refused rather than silently fixing a point.
+    other sizes are refused rather than silently fixing a point, and so
+    are words longer than MAX_INVOLUTION_N, before any ranking.
+
+    The pairing follows rank order only: it keeps neither the shape nor
+    the charge of the tableau (at n = 7 the shape is kept on 12 of the
+    34 words, the charge of the reading word on 4).  So it shows that the
+    number of two-row tableaux is even at n = 2**k - 1, not that each
+    higher coefficient of the charge polynomial is (Theorem 8).
 
     >>> involution_phi((1, 1, 2))
     (1, 2, 1)
     """
-    rank = ballot_rank(word)  # validates the word and refuses a single-row one
-    _pairable_count(len(word))
-    return ballot_unrank(len(word), rank ^ 1)
+    w = _check_ballot(word)
+    if 2 in w:  # ballot_rank refuses an all-1s word, whatever its length
+        _pairable_count(len(w))
+    return ballot_unrank(len(w), ballot_rank(w) ^ 1)
 
 
 def _pairable_count(n: int) -> int:
-    """The number of two-row words of length n, refused unless it is even."""
+    """The number of two-row words of length n, refused unless n is at most
+    MAX_INVOLUTION_N (checked first, in constant time) and the number is even."""
+    if n > MAX_INVOLUTION_N:
+        raise ExhaustionError(f"length n={n} exceeds the ballot-word bound MAX_INVOLUTION_N={MAX_INVOLUTION_N}")
     m = count_two_row(n)
     if m % 2 != 0:
         raise ValueError(f"no fixed-point-free involution guaranteed: {m} two-row words at n={n}")
@@ -412,9 +426,9 @@ def two_row_maj_polynomials(n: int) -> list[list[int]]:
     return out
 
 
-def fast_ch_321(n: int) -> StatPolynomial:
+def fast_ch_321(n: int, stat: str = CHARGE) -> StatPolynomial:
     """
-    The charge polynomial over 321-avoiders of size n, without enumerating them.
+    The charge (or major-index) polynomial over 321-avoiders of size n, without enumerating them.
 
     By charge(p) = sum(n - d for d in Des(p^-1)) = maj(evac(P)), a
     321-avoider's charge is the major index of the evacuated insertion
@@ -423,9 +437,14 @@ def fast_ch_321(n: int) -> StatPolynomial:
 
         sum over r = 0..n//2 of f^(n-r,r) ([n choose r]_q - [n choose r-1]_q),
 
-    which is also the major-index polynomial (maj(p) = maj(Q)).  Refuses
-    n above MAX_FAST_N.
+    which is also the major-index polynomial (maj(p) = maj(Q)), returned
+    under stat.  This is the one statement of what the closed form serves:
+    it refuses any statistic but charge and major index, and n above
+    MAX_FAST_N.
     """
+    stat = parse_stat(stat)
+    if stat not in (CHARGE, MAJOR_INDEX):
+        raise ValueError(f"the 321 closed form serves {CHARGE} and {MAJOR_INDEX}, not {stat}")
     if n > MAX_FAST_N:
         raise ExhaustionError(f"n={n} exceeds the fast-route bound MAX_FAST_N={MAX_FAST_N}")
     shapes = two_row_maj_polynomials(n)
@@ -434,9 +453,7 @@ def fast_ch_321(n: int) -> StatPolynomial:
         f = syt_count_two_row_shape(n, r)
         for i, c in enumerate(shape_poly):
             counts[i] += f * c
-    return StatPolynomial.from_counts(
-        counts, n=n, patterns=[_PATTERN_321], stat=CHARGE
-    )
+    return StatPolynomial.from_counts(counts, n=n, patterns=[_PATTERN_321], stat=stat)
 
 
 def has_parity_pattern(poly: StatPolynomial) -> bool:
@@ -450,21 +467,19 @@ def parity_polynomial(k: int, stat: str) -> StatPolynomial:
     """
     The charge or major-index polynomial over 321-avoiders of size 2**k - 1.
 
-    Both come from the closed form of fast_ch_321.  For k <= 3 the result
-    is cross-checked against brute-force enumeration of the named
-    statistic, beyond that its coefficient sum against the Catalan
-    number; a disagreement raises VerificationError.
+    Both come from the closed form of fast_ch_321, which decides the
+    statistics it serves.  For k <= 3 the result is cross-checked against
+    brute-force enumeration of the named statistic, beyond that its
+    coefficient sum against the Catalan number; a disagreement raises
+    VerificationError.
     """
-    stat = parse_stat(stat)
-    if stat not in (CHARGE, MAJOR_INDEX):
-        raise ValueError(f"the parity checks cover charge and major index, not {stat}")
     n = _parity_size(k, MAX_PARITY_K, "MAX_PARITY_K")
-    poly = fast_ch_321(n)._replace(stat=stat)
+    poly = fast_ch_321(n, stat)
     if k <= 3:
-        brute = stat_polynomial(n, [_PATTERN_321], stat)
+        brute = stat_polynomial(n, [_PATTERN_321], poly.stat)
         if poly != brute:
             raise VerificationError(
-                f"closed-form {stat} polynomial disagrees with enumeration at n={n}",
+                f"closed-form {poly.stat} polynomial disagrees with enumeration at n={n}",
                 witness=(poly.coeffs, brute.coeffs),
             )
     elif poly.total() != comb(2 * n, n) // (n + 1):

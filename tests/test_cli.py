@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -87,11 +88,28 @@ def test_poly_fast_path():
 
 
 def test_poly_fast_flag_misuse():
-    proc = run_cli("poly", "--n", "5", "--avoid", "321", "--stat", "maj", "--fast")
+    proc = run_cli("poly", "--n", "5", "--avoid", "321", "--stat", "inv", "--fast")
     assert proc.returncode == 1
-    assert "--fast" in proc.stderr
+    assert "charge and major_index" in proc.stderr
     proc = run_cli("poly", "--n", "5", "--avoid", "132", "--stat", "ch", "--fast")
     assert proc.returncode == 1
+    assert "--fast" in proc.stderr
+
+
+def test_poly_fast_answers_maj_as_enumeration_and_corollary9_do(capsys):
+    from permstat.statistics import stat_polynomial
+
+    def fast_maj(n):
+        assert cli.main(["poly", "--fast", "--n", str(n), "--avoid", "321", "--stat", "maj", "--format", "json"]) == 0
+        record = json.loads(capsys.readouterr().out)
+        assert record["parameters"]["stat"] == "major_index"
+        return record["result"]
+
+    for n in range(10):
+        assert fast_maj(n)["coefficients"] == list(stat_polynomial(n, [(3, 2, 1)], "maj").coeffs), n
+    assert cli.main(["verify", "corollary9", "--k", "4", "--format", "json"]) == 0
+    corollary9 = json.loads(capsys.readouterr().out)["result"]
+    assert fast_maj(15) == {key: corollary9[key] for key in ("coefficients", "coefficient_sum")}
 
 
 def test_avoid_listing_and_count():
@@ -201,6 +219,7 @@ def test_st_wilf_routes_refuse_above_their_named_bounds():
         (("verify", "lemma5", "--k", "11"), "MAX_LEMMA5_K=10"),
         (("poly", "--fast", "--n", "128", "--stat", "ch", "--avoid", "321"), "MAX_FAST_N=127"),
         (("verify", "involution", "--n", "31"), "MAX_INVOLUTION_WORDS=2000000"),
+        (("verify", "involution", "--n", "4095"), "MAX_INVOLUTION_N=2047"),
     ):
         proc = run_cli(*argv)
         assert proc.returncode == 1, argv
@@ -302,6 +321,34 @@ def test_invalid_ballot_word_diagnostics():
     prefix = run_cli("involution", "--word", "1221")
     assert prefix.returncode == 1
     assert "prefix of length 3" in prefix.stderr
+
+
+def test_involution_refusals_keep_their_wording_and_order(capsys):
+    # a word's own fault is named before any fault of its length
+    not_ballot = "not a ballot word over {1,2}: "
+    single_row = "all-1s word encodes a single-row tableau and has no rank"
+    for word, message in (
+        ("221", not_ballot + "prefix of length 1 has more 2s than 1s"),
+        ("1221", not_ballot + "prefix of length 3 has more 2s than 1s"),
+        ("113", not_ballot + "letter 3 at position 3 is not 1 or 2"),
+        ("2" + "1" * 4094, not_ballot + "prefix of length 1 has more 2s than 1s"),
+        ("11212", "no fixed-point-free involution guaranteed: 9 two-row words at n=5"),
+        ("12", "no fixed-point-free involution guaranteed: 1 two-row words at n=2"),
+        ("11", single_row),
+        ("1" * 4095, single_row),
+    ):
+        assert cli.main(["involution", "--word", word]) == 1, word
+        assert capsys.readouterr() == ("", f"permstat: error: {message}\n"), word
+
+
+def test_a_ballot_word_above_the_length_bound_is_refused_before_ranking(capsys):
+    word = "12" * 2047 + "1"  # a valid two-row word of even count; ranking it alone takes over 0.5 s
+    start = time.perf_counter()
+    assert cli.main(["involution", "--word", word]) == 1
+    assert time.perf_counter() - start < 0.1
+    assert capsys.readouterr() == (
+        "", "permstat: error: length n=4095 exceeds the ballot-word bound MAX_INVOLUTION_N=2047\n"
+    )
 
 
 def test_involution_of_a_long_ballot_word():

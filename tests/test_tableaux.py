@@ -286,6 +286,16 @@ def test_verify_involution_catches_a_broken_pairing(monkeypatch):
         assert caught.value.witness == witness
 
 
+def test_involution_refuses_words_above_its_length_bound():
+    longest = (1, 2) * (tableaux.MAX_INVOLUTION_N // 2) + (1,)  # the last word in rank order
+    assert involution_phi(involution_phi(longest)) == longest
+    for refused in (lambda: involution_phi((1,) * 4094 + (2,)), lambda: verify_involution(4095)):
+        with pytest.raises(ExhaustionError, match="MAX_INVOLUTION_N=2047"):
+            refused()
+    with pytest.raises(ValueError, match="all-1s word"):
+        involution_phi((1,) * 4095)
+
+
 def test_involution_refuses_odd_counts():
     with pytest.raises(ValueError):
         involution_phi((1, 1, 2, 1, 2))  # n=5 has 9 two-row words
@@ -356,6 +366,16 @@ def test_parity_theorems_beyond_the_ballot_walk():
             assert all(c % 2 == 0 for c in poly.coeffs[1:])
     with pytest.raises(ExhaustionError):
         fast_ch_321(128)
+
+
+def test_the_closed_form_serves_charge_and_major_index_alike():
+    for n in range(tableaux.MAX_FAST_N + 1):
+        charge_poly, maj_poly = fast_ch_321(n), fast_ch_321(n, "maj")
+        assert (charge_poly.stat, maj_poly.stat) == ("charge", "major_index")
+        assert maj_poly.coeffs == charge_poly.coeffs, n
+    for refused in (lambda: fast_ch_321(5, "inv"), lambda: parity_polynomial(2, "inv")):
+        with pytest.raises(ValueError, match="serves charge and major_index, not inversions"):
+            refused()
 
 
 def test_fast_ch_321_at_size_fifteen():
