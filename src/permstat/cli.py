@@ -5,12 +5,13 @@ Every subcommand parses its arguments, calls one library computation
 and writes one record, a dict with the keys command, parameters,
 result and elapsed_ms, in the chosen format, to stdout.  Nothing is
 written before the computation finishes; then the record goes out in
-blocks of about 64 KiB as it is rendered, so a listing is held once,
-as one string per permutation.  The library validates permutations and
-ballot words; argparse checks every other flag.  JSON output is
-deterministic: keys keep that fixed order (only elapsed_ms
-varies between identical runs), and polynomial coefficients are listed
-lowest degree first.
+blocks of about 64 KiB as it is rendered.  A listing is held once, as
+newline-separated text blocks of about 64 KiB (about 30 bytes per
+permutation), and spliced into the rendered record one block at a time.
+The library validates permutations and ballot words; argparse checks
+every other flag.  JSON output is deterministic: keys keep that fixed
+order (only elapsed_ms varies between identical runs), and polynomial
+coefficients are listed lowest degree first.
 
 Enumeration runs in this process unless --threads N >= 2 forks
 min(N, n, max(2, CPUs)) workers (POSIX only) over interleaved
@@ -136,7 +137,7 @@ def _json_safe(value):
 
 
 def _text_chunks(value, indent: str):
-    """The text lines of value, each ending in a newline; a flat list is one line, yielded item by item."""
+    """The text lines of value, each ending in a newline; a flat list is one line."""
     if isinstance(value, dict):
         for k, v in value.items():
             if isinstance(v, (dict, list)):
@@ -146,11 +147,7 @@ def _text_chunks(value, indent: str):
                 yield f"{indent}{k}: {v}\n"
     elif isinstance(value, list):
         if all(not isinstance(v, (dict, list)) for v in value):
-            items = map(str, value)
-            yield indent + next(items, "")
-            for item in items:
-                yield " " + item
-            yield "\n"
+            yield indent + " ".join(map(str, value)) + "\n"
         else:
             for v in value:
                 yield from _text_chunks(v, indent)
@@ -172,7 +169,8 @@ def _csv_rows(result: dict):
         yield from enumerate(result["coefficients"])
     elif "permutations" in result:
         yield ["permutation"]
-        yield from zip(result["permutations"])
+        for block in result["permutations"]:  # split one listing block at a time
+            yield from zip(block.split("\n"))
     elif "classes" in result:
         yield ["class_index", "pattern_set"]
         for i, cls in enumerate(result["classes"]):
@@ -192,15 +190,35 @@ class _Echo:
         return text
 
 
+_MARK = "\0"  # stands in for a listing while the rest of its record renders; no other value holds a NUL
+
+
 def _record_chunks(record: dict, fmt: str):
-    """The record in fmt as consecutive strings, ending in a newline."""
-    if fmt == "json":
-        return itertools.chain(json.JSONEncoder(indent=2).iterencode(record), ("\n",))
+    """The record in fmt as consecutive strings, ending in a newline.
+
+    A listing (result.permutations, newline-separated text blocks) is
+    emitted one block at a time: csv splits each block into rows; JSON and
+    text render the rest of the record whole around a one-item stand-in and
+    splice the blocks' lines in its place.  Lines are digits and commas, so
+    JSON needs no escaping for them.
+    """
+    result = record["result"]
     if fmt == "csv":
         import csv  # only here, so JSON and text output do not pay for it
         # every row ends in the terminator, and no row is empty
-        return map(csv.writer(_Echo(), lineterminator="\n").writerow, _csv_rows(record["result"]))
-    return _text_record(record)
+        return map(csv.writer(_Echo(), lineterminator="\n").writerow, _csv_rows(result))
+    blocks = result.get("permutations")
+    if blocks:
+        record = {**record, "result": {**result, "permutations": [_MARK]}}
+    if fmt == "json":  # the stand-in encodes as "\u0000", an item of result.permutations six spaces in
+        whole, mark, sep = json.dumps(record, indent=2) + "\n", "\\u0000", '",\n      "'
+    else:
+        whole, mark, sep = "".join(_text_record(record)), _MARK, " "
+    if not blocks:
+        return (whole,)
+    head, tail = whole.split(mark)
+    texts = (block.replace("\n", sep) for block in blocks)
+    return itertools.chain((head, next(texts)), (sep + text for text in texts), (tail,))
 
 
 _BLOCK_CHARS = 1 << 16
@@ -221,12 +239,18 @@ def _write_blocks(chunks, stream) -> None:
 
 
 def _avoiders(n, patterns, count, first=None):
-    """The count of the avoiders, or their listing lines, each formatted as the walk yields it."""
+    """The count of the avoiders, or their listing: each avoider's line, formatted as the walk
+    yields it, joined into newline-separated text blocks of about _BLOCK_CHARS characters."""
     found = enumerate_avoiders(n, patterns, first=first)
     if count:
         return sum(1 for _ in found)
     names = [str(v) for v in range(n + 1)]  # value -> its text, so no int is formatted twice
-    return [",".join(map(names.__getitem__, p)) for p in found]
+    lines = (",".join(map(names.__getitem__, p)) for p in found)
+    per_block = _BLOCK_CHARS // (len(",".join(names[1:])) + 1)  # every line of size n is as long
+    blocks = []
+    while held := list(itertools.islice(lines, per_block)):
+        blocks.append("\n".join(held))
+    return blocks
 
 
 def _map_shards(shard, n, threads) -> list:
@@ -260,9 +284,7 @@ def _map_shards(shard, n, threads) -> list:
                     except Exception as exc:
                         reply = exc, None
                     with os.fdopen(write_fd, "wb") as pipe:
-                        pickler = pickle.Pickler(pipe)
-                        pickler.fast = True  # no memo: it would keep an entry per listed string at both ends
-                        pickler.dump(reply)
+                        pickle.dump(reply, pipe)  # a listing's memo holds an entry per text block, not per line
                     status = 0
                 finally:
                     os._exit(status)  # never return into the parent's code
@@ -338,10 +360,8 @@ def _cmd_avoid(args):
     if args.count:
         result = {"count": sum(parts)}
     else:
-        perms = parts[0]
-        for part in parts[1:]:
-            perms += part  # the shards' lines, joined into the first shard's list
-        result = {"count": len(perms), "permutations": perms}
+        blocks = list(itertools.chain.from_iterable(parts))  # the shards' blocks, in first-entry order
+        result = {"count": sum(block.count("\n") + 1 for block in blocks), "permutations": blocks}
     return params, result, EXIT_PASS
 
 

@@ -150,10 +150,6 @@ class StatPolynomial(namedtuple("StatPolynomial", "coeffs n patterns stat")):
         return super().__new__(cls, coeffs, n, patterns, stat)
 
     @classmethod
-    def _make(cls, iterable) -> "StatPolynomial":  # _replace builds through here
-        return cls(*iterable)
-
-    @classmethod
     def from_counts(
         cls,
         counts: Sequence[int],

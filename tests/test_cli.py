@@ -649,13 +649,17 @@ def test_streamed_output_matches_the_whole_string_renderers(monkeypatch, capsys)
         (["avoid", "--n", "0", "--avoid", "321"], 0),  # one empty permutation
         (["avoid", "--n", "5", "--avoid", "321", "--count"], 0),
         (["avoid", "--n", "6", "--avoid", "2143", "--threads", "3"], 0),
+        (["avoid", "--n", "9", "--avoid", "321", "--threads", "1"], 0),  # several blocks
+        (["avoid", "--n", "9", "--avoid", "321", "--threads", "3"], 0),  # several blocks per shard set
         (["classes", "--stat", "ch", "--size", "1", "--nmax", "4"], 0),
         (["verify", "lemma2", "--n", "3"], 2),  # a failure record
     ]
+    assert len(cli._avoiders(9, frozenset({(3, 2, 1)}), False)) > 1
+    records = {}
     for argv, expected_code in cases:
         code, out = _output(capsys, argv, "json")
         assert code == expected_code, argv
-        record = json.loads(out)
+        record = records[tuple(argv)] = json.loads(out)
         assert out == json.dumps(record, indent=2) + "\n", argv
         code, out = _output(capsys, argv, "csv")
         assert code == expected_code, argv
@@ -673,6 +677,13 @@ def test_streamed_output_matches_the_whole_string_renderers(monkeypatch, capsys)
             head.format(n=3, avoid="3,2,1", count=False, threads=3)
             + "  count: 5\n  permutations:\n    1,2,3 1,3,2 2,1,3 2,3,1 3,1,2\n",
     }
+    for threads in ("1", "3"):
+        argv = ("avoid", "--n", "9", "--avoid", "321", "--threads", threads)
+        perms = records[argv]["result"]["permutations"]
+        texts[argv] = (
+            head.format(n=9, avoid="3,2,1", count=False, threads=threads)
+            + f"  count: {len(perms)}\n  permutations:\n    " + " ".join(perms) + "\n"
+        )
     for argv, expected in texts.items():
         code, out = _output(capsys, list(argv), "text")
         assert code == 0, argv
