@@ -4,10 +4,11 @@ Command-line front end.
 Every subcommand parses its arguments, calls one library computation
 and writes one record, a dict with the keys command, parameters,
 result and elapsed_ms, in the chosen format, to stdout.  Nothing is
-written before the computation finishes; then the record goes out in
-blocks of about 64 KiB as it is rendered.  A listing is held once, as
-newline-separated text blocks of about 64 KiB (about 30 bytes per
-permutation), and spliced into the rendered record one block at a time.
+written before the computation finishes.  Then a listing is written
+block by block, and any other record in one write.  A listing is held
+once, as newline-separated text blocks of about 64 KiB (about 30 bytes
+per permutation), and spliced into the rendered record one block at a
+time.
 The library validates permutations and ballot words; argparse checks
 every other flag.  JSON output is deterministic: keys keep that fixed
 order (only elapsed_ms varies between identical runs), and polynomial
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import itertools
 import json
 import os
@@ -169,8 +171,7 @@ def _csv_rows(result: dict):
         yield from enumerate(result["coefficients"])
     elif "permutations" in result:
         yield ["permutation"]
-        for block in result["permutations"]:  # split one listing block at a time
-            yield from zip(block.split("\n"))
+        yield from zip(result["permutations"])
     elif "classes" in result:
         yield ["class_index", "pattern_set"]
         for i, cls in enumerate(result["classes"]):
@@ -182,60 +183,49 @@ def _csv_rows(result: dict):
             yield k, json.dumps(_json_safe(v)) if isinstance(v, (dict, list)) else v
 
 
-class _Echo:
-    """A file whose write returns its text, so csv.writer.writerow returns the formatted row."""
+def _csv_text(rows) -> str:
+    """rows as csv text, every row ending in a newline."""
+    import csv  # only here, so JSON and text output do not pay for it
 
-    @staticmethod
-    def write(text):
-        return text
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(rows)
+    return buffer.getvalue()
 
 
-_MARK = "\0"  # stands in for a listing while the rest of its record renders; no other value holds a NUL
+_MARK = "\0"  # stands in for a listing's lines while the rest of its record renders; no other value holds a NUL
 
 
 def _record_chunks(record: dict, fmt: str):
-    """The record in fmt as consecutive strings, ending in a newline.
+    """The record in fmt as consecutive strings, ending in a newline: the whole record
+    in one string, or, for a listing (result.permutations, newline-separated text
+    blocks), the rest of the record and then one string per block.
 
-    A listing (result.permutations, newline-separated text blocks) is
-    emitted one block at a time: csv splits each block into rows; JSON and
-    text render the rest of the record whole around a one-item stand-in and
-    splice the blocks' lines in its place.  Lines are digits and commas, so
-    JSON needs no escaping for them.
+    The rest renders once around two stand-in lines, and what the renderer puts
+    between them separates the blocks.  JSON and text put that separator in place
+    of each block's newlines (lines are digits and commas, so JSON needs no
+    escaping for them); csv writes each block's rows, quoted as csv quotes them.
     """
     result = record["result"]
-    if fmt == "csv":
-        import csv  # only here, so JSON and text output do not pay for it
-        # every row ends in the terminator, and no row is empty
-        return map(csv.writer(_Echo(), lineterminator="\n").writerow, _csv_rows(result))
     blocks = result.get("permutations")
     if blocks:
-        record = {**record, "result": {**result, "permutations": [_MARK]}}
-    if fmt == "json":  # the stand-in encodes as "\u0000", an item of result.permutations six spaces in
-        whole, mark, sep = json.dumps(record, indent=2) + "\n", "\\u0000", '",\n      "'
+        record = {**record, "result": {**result, "permutations": [_MARK, _MARK]}}
+    if fmt == "json":  # json.dumps escapes the stand-in
+        whole, mark = json.dumps(record, indent=2) + "\n", "\\u0000"
+    elif fmt == "csv":
+        whole, mark = _csv_text(_csv_rows(record["result"])), _MARK
     else:
-        whole, mark, sep = "".join(_text_record(record)), _MARK, " "
+        whole, mark = "".join(_text_record(record)), _MARK
     if not blocks:
         return (whole,)
-    head, tail = whole.split(mark)
-    texts = (block.replace("\n", sep) for block in blocks)
+    head, sep, tail = whole.split(mark)
+    if fmt == "csv":  # every row ends in sep, so the block's last row leaves its own to sep or tail
+        texts = (_csv_text(zip(block.split("\n")))[:-1] for block in blocks)
+    else:
+        texts = (block.replace("\n", sep) for block in blocks)
     return itertools.chain((head, next(texts)), (sep + text for text in texts), (tail,))
 
 
 _BLOCK_CHARS = 1 << 16
-
-
-def _write_blocks(chunks, stream) -> None:
-    """Write chunks to stream joined into blocks of about _BLOCK_CHARS characters, so an
-    unbuffered stream (PYTHONUNBUFFERED=1) makes one system call per block, not per chunk."""
-    held, size = [], 0
-    for chunk in chunks:
-        held.append(chunk)
-        size += len(chunk)
-        if size >= _BLOCK_CHARS:
-            stream.write("".join(held))
-            held, size = [], 0
-    if held:
-        stream.write("".join(held))
 
 
 def _avoiders(n, patterns, count, first=None):
@@ -584,7 +574,8 @@ def main(argv=None) -> int:
         return EXIT_ERROR
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     record = {"command": args.command, "parameters": params, "result": result, "elapsed_ms": elapsed_ms}
-    _write_blocks(_record_chunks(record, args.format), sys.stdout)
+    for chunk in _record_chunks(record, args.format):
+        sys.stdout.write(chunk)
     return code
 
 

@@ -580,7 +580,9 @@ def test_in_process_main_leaves_the_collector_alone(capsys):
 
 
 def test_a_listing_arrives_complete_through_the_program_entry():
-    proc = run_cli("avoid", "--n", "9", "--avoid", "321", "--format", "json")
+    argv = ("avoid", "--n", "9", "--avoid", "321", "--format")
+    buffered = {fmt: run_cli(*argv, fmt, env={"PYTHONUNBUFFERED": ""}) for fmt in ("json", "csv", "text")}
+    proc = buffered["json"]
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     result = json.loads(proc.stdout)["result"]
@@ -588,6 +590,10 @@ def test_a_listing_arrives_complete_through_the_program_entry():
     perms = result["permutations"]
     assert len(perms) == len(set(perms)) == 4862
     assert perms[0] == "1,2,3,4,5,6,7,8,9" and perms[-1] == "9,1,2,3,4,5,6,7,8"
+    for fmt, expected in buffered.items():  # unbuffered, each block is its own write to the pipe
+        direct = run_cli(*argv, fmt, env={"PYTHONUNBUFFERED": "1"})
+        assert (direct.returncode, direct.stderr) == (expected.returncode, expected.stderr) == (0, ""), fmt
+        assert _masked(direct.stdout) == _masked(expected.stdout), fmt
 
 
 def test_a_reader_that_closes_early_ends_the_command_quietly():
@@ -634,7 +640,7 @@ def _reference_csv(result) -> str:
 
 
 def _masked(text: str) -> str:
-    return re.sub(r"elapsed_ms: \d+", "elapsed_ms: 0", text)
+    return re.sub(r'(elapsed_ms"?): \d+', r"\1: 0", text)
 
 
 def test_streamed_output_matches_the_whole_string_renderers(monkeypatch, capsys):
@@ -647,6 +653,8 @@ def test_streamed_output_matches_the_whole_string_renderers(monkeypatch, capsys)
     cases = [
         (["avoid", "--n", "1", "--avoid", "1"], 0),  # the empty listing
         (["avoid", "--n", "0", "--avoid", "321"], 0),  # one empty permutation
+        (["avoid", "--n", "1", "--avoid", "21"], 0),  # a row csv leaves unquoted
+        (["avoid", "--n", "2", "--avoid", "21"], 0),
         (["avoid", "--n", "5", "--avoid", "321", "--count"], 0),
         (["avoid", "--n", "6", "--avoid", "2143", "--threads", "3"], 0),
         (["avoid", "--n", "9", "--avoid", "321", "--threads", "1"], 0),  # several blocks
@@ -696,7 +704,7 @@ def test_streamed_output_matches_the_whole_string_renderers(monkeypatch, capsys)
     )
 
 
-def test_output_reaches_stdout_in_blocks(monkeypatch):
+def test_output_reaches_stdout_in_blocks(monkeypatch, capsys):
     class CountingStdout:
         def __init__(self):
             self.writes = []
@@ -705,10 +713,16 @@ def test_output_reaches_stdout_in_blocks(monkeypatch):
             self.writes.append(text)
             return len(text)
 
-    stdout = CountingStdout()
-    monkeypatch.setattr(sys, "stdout", stdout)
-    assert cli.main(["avoid", "--n", "9", "--avoid", "321", "--format", "json"]) == 0
-    out = "".join(stdout.writes)
-    assert len(out) > 100_000
-    assert len(stdout.writes) <= 4
-    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+    def writes(argv, fmt):
+        stdout = CountingStdout()
+        with monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", stdout)
+            assert cli.main([*argv, "--format", fmt]) == 0
+        assert _masked("".join(stdout.writes)) == _masked(_output(capsys, argv, fmt)[1])
+        return stdout.writes
+
+    for fmt in ("json", "csv", "text"):
+        listing = writes(["avoid", "--n", "9", "--avoid", "321"], fmt)
+        assert len("".join(listing)) > 80_000, fmt
+        assert len(listing) <= 4, fmt  # the rest of the record, two blocks, and the record's end
+        assert len(writes(["poly", "--fast", "--n", "127", "--avoid", "321", "--stat", "ch"], fmt)) == 1, fmt
