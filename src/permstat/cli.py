@@ -192,7 +192,9 @@ def _csv_text(rows) -> str:
     return buffer.getvalue()
 
 
-_MARK = "\0"  # stands in for a listing's lines while the rest of its record renders; no other value holds a NUL
+# stands in for a listing's lines while the rest of its record renders; no other value holds it,
+# and csv writes it as it is on every supported Python (3.10's csv refuses a NUL)
+_MARK = "\x01"
 
 
 def _record_chunks(record: dict, fmt: str):
@@ -210,7 +212,7 @@ def _record_chunks(record: dict, fmt: str):
     if blocks:
         record = {**record, "result": {**result, "permutations": [_MARK, _MARK]}}
     if fmt == "json":  # json.dumps escapes the stand-in
-        whole, mark = json.dumps(record, indent=2) + "\n", "\\u0000"
+        whole, mark = json.dumps(record, indent=2) + "\n", "\\u0001"
     elif fmt == "csv":
         whole, mark = _csv_text(_csv_rows(record["result"])), _MARK
     else:

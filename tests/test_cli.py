@@ -626,7 +626,9 @@ def _output(capsys, argv, fmt):
 
 
 def _reference_csv(result) -> str:
-    if "permutations" in result:
+    if "coefficients" in result:
+        rows = [["degree", "coefficient"]] + [[d, c] for d, c in enumerate(result["coefficients"])]
+    elif "permutations" in result:
         rows = [["permutation"]] + [[p] for p in result["permutations"]]
     elif "classes" in result:
         rows = [["class_index", "pattern_set"]]
@@ -704,7 +706,7 @@ def test_streamed_output_matches_the_whole_string_renderers(monkeypatch, capsys)
     )
 
 
-def test_output_reaches_stdout_in_blocks(monkeypatch, capsys):
+def test_output_reaches_stdout_in_blocks(monkeypatch):
     class CountingStdout:
         def __init__(self):
             self.writes = []
@@ -718,11 +720,33 @@ def test_output_reaches_stdout_in_blocks(monkeypatch, capsys):
         with monkeypatch.context() as patch:
             patch.setattr(sys, "stdout", stdout)
             assert cli.main([*argv, "--format", fmt]) == 0
-        assert _masked("".join(stdout.writes)) == _masked(_output(capsys, argv, fmt)[1])
         return stdout.writes
 
-    for fmt in ("json", "csv", "text"):
-        listing = writes(["avoid", "--n", "9", "--avoid", "321"], fmt)
-        assert len("".join(listing)) > 80_000, fmt
-        assert len(listing) <= 4, fmt  # the rest of the record, two blocks, and the record's end
-        assert len(writes(["poly", "--fast", "--n", "127", "--avoid", "321", "--stat", "ch"], fmt)) == 1, fmt
+    listing = ["avoid", "--n", "9", "--avoid", "321"]
+    poly = ["poly", "--fast", "--n", "127", "--avoid", "321", "--stat", "ch"]
+    outs = {}
+    for argv in (listing, poly):
+        for fmt in ("json", "csv", "text"):
+            chunks = writes(argv, fmt)
+            outs[argv[0], fmt] = "".join(chunks)
+            if argv is listing:
+                assert len(outs[argv[0], fmt]) > 80_000, fmt
+                assert len(chunks) <= 4, fmt  # the rest of the record, two blocks, and the record's end
+            else:
+                assert len(chunks) == 1, fmt
+
+    perms = json.loads(outs["avoid", "json"])["result"]["permutations"]
+    poly_result = json.loads(outs["poly", "json"])["result"]
+    for command in ("avoid", "poly"):
+        out = outs[command, "json"]
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", command
+        assert outs[command, "csv"] == _reference_csv(json.loads(out)["result"]), command
+    assert _masked(outs["avoid", "text"]) == (
+        "command: avoid\n  n: 9\n  avoid:\n    3,2,1\n  count_only: False\n  threads: 1\nresult:\n"
+        f"  count: {len(perms)}\n  permutations:\n    " + " ".join(perms) + "\nelapsed_ms: 0\n"
+    )
+    assert _masked(outs["poly", "text"]) == (
+        "command: poly\n  n: 127\n  avoid:\n    3,2,1\n  stat: charge\n  fast: True\n  threads: 1\nresult:\n"
+        "  coefficients:\n    " + " ".join(map(str, poly_result["coefficients"]))
+        + f"\n  coefficient_sum: {poly_result['coefficient_sum']}\nelapsed_ms: 0\n"
+    )
