@@ -1,5 +1,6 @@
 """
-The program entry of ``python -m permstat`` and of the ``permstat`` script.
+The program entry of ``python -m permstat``, ``python -m permstat.cli`` and
+the ``permstat`` script.
 
 run() calls cli.main(), then gc.freeze(): the interpreter's collections at
 exit would otherwise scan every object the command left, all of which the

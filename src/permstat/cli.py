@@ -251,9 +251,9 @@ def _map_shards(shard, n, threads) -> list:
     forked workers (POSIX only; the CLI starts no threads, so forking is
     safe).  Worker w takes the interleaved f = w + 1, w + 1 + W, ... and
     pickles them back through a pipe.  Each reply is unpickled as it is
-    read, one worker at a time, so no pickled reply is held whole; the first
-    failing worker's exception is re-raised here once every worker is
-    reaped.
+    read, one worker at a time, so no pickled reply is held whole.  The
+    first failure found (a worker's exception, or a worker that died) is
+    raised once the other workers have been stopped and reaped.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(threads, n, max(2, cpus))
@@ -263,13 +263,11 @@ def _map_shards(shard, n, threads) -> list:
         raise CommandError("--threads N >= 2 needs os.fork, which this platform lacks; use --threads 1")
     import pickle  # only here, so single-process commands do not pay for it
 
-    pids, pipes = [], []
-    parts, failure, reaped = [None] * n, None, 0
+    parts, running = [None] * n, []  # running: (pid, read end) of each worker not yet reaped
     try:
         for w in range(workers):
             read_fd, write_fd = os.pipe()
             if (pid := os.fork()) == 0:  # the worker: pickle (error, its shards), then exit
-                status = 1
                 try:
                     try:
                         reply = None, [shard(first=f) for f in range(w + 1, n + 1, workers)]
@@ -277,35 +275,34 @@ def _map_shards(shard, n, threads) -> list:
                         reply = exc, None
                     with os.fdopen(write_fd, "wb") as pipe:
                         pickle.dump(reply, pipe)  # a listing's memo holds an entry per text block, not per line
-                    status = 0
+                    os._exit(0)
                 finally:
-                    os._exit(status)  # never return into the parent's code
+                    os._exit(1)  # never return into the parent's code
             os.close(write_fd)
-            pids.append(pid)
-            pipes.append(os.fdopen(read_fd, "rb"))
-        for w, pipe in enumerate(pipes):  # load, then reap, one worker at a time
+            running.append((pid, os.fdopen(read_fd, "rb")))
+        for w in range(workers):  # load, reap and check one worker at a time
+            pid, pipe = running[0]
             with pipe:
                 try:
                     reply = pickle.load(pipe)  # unpickled as it streams in, never held as bytes
                 except (EOFError, pickle.UnpicklingError):
                     reply = None  # cut short: the worker died, as its wait status shows
-            status = os.waitpid(pids[w], 0)[1]
-            reaped += 1
+            status = os.waitpid(pid, 0)[1]
+            del running[0]
             if status or reply is None:
-                failure = RuntimeError(f"shard worker {w + 1} of {workers} ended with wait status {status}")
-                break
+                raise RuntimeError(f"shard worker {w + 1} of {workers} ended with wait status {status}")
             error, got = reply
             if error is not None:
-                failure = error
-                break
+                raise error
             parts[w::workers] = got
     finally:
-        for pipe in pipes:
-            pipe.close()  # a worker still writing gets EPIPE instead of blocking the reap
-        for pid in pids[reaped:]:
-            os.waitpid(pid, 0)
-    if failure is not None:
-        raise failure
+        if running:  # a failure, raised once the workers still running are stopped and reaped
+            import signal
+
+            for pid, pipe in running:
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
     return parts
 
 
@@ -581,5 +578,7 @@ def main(argv=None) -> int:
     return code
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+if __name__ == "__main__":  # python -m permstat.cli: the one program entry, as for python -m permstat
+    from .__main__ import run
+
+    sys.exit(run())

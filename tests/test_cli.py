@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -514,6 +515,58 @@ def test_replies_are_loaded_a_worker_at_a_time_and_a_dead_worker_is_reported():
         os.waitpid(-1, os.WNOHANG)
 
 
+_FAILING_WORKERS = """
+import os, sys, time
+import permstat.cli as cli
+
+os.sched_getaffinity = lambda pid: set(range(8))  # three workers even on a host with fewer CPUs
+os.cpu_count = lambda: 8
+workers, failure = int(sys.argv[1]), sys.argv[2]
+
+
+def shard(first):
+    if first == 1:
+        if failure == "exit":
+            os._exit(3)  # the worker ends before it replies
+        raise ValueError("shard 1 failed")
+    if first == 2 and failure == "sleep":
+        time.sleep(600)
+    return [str(first)] * 200_000  # far above a pipe's buffer: a worker left running blocks on its write
+
+
+try:
+    cli._map_shards(shard, workers, workers)
+except Exception as exc:
+    print(type(exc).__name__, exc)
+try:
+    os.waitpid(-1, os.WNOHANG)
+except ChildProcessError:
+    print("no child left")
+"""
+
+
+@pytest.mark.parametrize("workers, failure, raised", [
+    (2, "raise", "ValueError shard 1 failed"),
+    (2, "exit", "RuntimeError shard worker 1 of 2 ended with wait status 768"),
+    (3, "raise", "ValueError shard 1 failed"),
+    (3, "sleep", "ValueError shard 1 failed"),  # shard 2's worker is stopped, not waited for
+], ids=["2-raise", "2-exit", "3-raise", "3-sleep"])
+def test_the_first_failure_stops_the_other_workers_at_once(workers, failure, raised):
+    # in its own session, so a hang is ended with every worker it forked
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _FAILING_WORKERS, str(workers), failure],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=10)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("still running after 10 s")
+    assert (proc.returncode, err) == (0, "")
+    assert out == f"{raised}\nno child left\n"
+
+
 def test_workers_are_capped_by_the_cpus(monkeypatch):
     forks = []
     fork = os.fork
@@ -593,21 +646,28 @@ def test_a_listing_arrives_complete_through_the_program_entry():
     for fmt, expected in buffered.items():  # unbuffered, each block is its own write to the pipe
         direct = run_cli(*argv, fmt, env={"PYTHONUNBUFFERED": "1"})
         assert (direct.returncode, direct.stderr) == (expected.returncode, expected.stderr) == (0, ""), fmt
-        assert _masked(direct.stdout) == _masked(expected.stdout), fmt
+        _assert_same_text(_masked(direct.stdout), _masked(expected.stdout), fmt)
 
 
-def test_a_reader_that_closes_early_ends_the_command_quietly():
+def _closed_early(module):
+    """The exit code and stderr of `python -m MODULE` whose reader closes after one line."""
     # the CSV listing, about 340 KB, overfills the pipe, so the writer meets the closed end
     proc = subprocess.Popen(
-        [sys.executable, "-m", "permstat", "avoid", "--n", "10", "--avoid", "231", "--format", "csv"],
+        [sys.executable, "-m", module, "avoid", "--n", "10", "--avoid", "231", "--format", "csv"],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
     assert proc.stdout.readline() == b"permutation\n"
     proc.stdout.close()
     _, stderr = proc.communicate(timeout=60)
-    assert proc.returncode == 1
-    assert b"Traceback" not in stderr
-    assert stderr == b""
+    return proc.returncode, stderr
+
+
+def test_a_reader_that_closes_early_ends_the_command_quietly():
+    assert _closed_early("permstat") == (1, b"")
+
+
+def test_the_cli_module_runs_through_the_program_entry():
+    assert _closed_early("permstat.cli") == (1, b"")
 
 
 def test_in_process_main_raises_a_broken_pipe(monkeypatch):
@@ -645,6 +705,21 @@ def _masked(text: str) -> str:
     return re.sub(r'(elapsed_ms"?): \d+', r"\1: 0", text)
 
 
+def _assert_same_text(out, expected, label):
+    """out == expected, compared in full; a mismatch is reported at its first differing
+    line and column (None for a text that has ended), since pytest's own diff of two
+    listings this long runs for many minutes."""
+    if out != expected:
+        got, want = out.split("\n") + [None], expected.split("\n") + [None]
+        line = next(i for i, pair in enumerate(zip(got, want)) if pair[0] != pair[1])
+        column = len(os.path.commonprefix([got[line] or "", want[line] or ""]))
+        shown = slice(max(0, column - 60), column + 60)
+        pytest.fail(
+            f"{label}: line {line + 1} differs at column {column + 1}:\n"
+            f"  got      {got[line] and got[line][shown]!r}\n  expected {want[line] and want[line][shown]!r}"
+        )
+
+
 def test_streamed_output_matches_the_whole_string_renderers(monkeypatch, capsys):
     from permstat.errors import VerificationError
 
@@ -670,10 +745,10 @@ def test_streamed_output_matches_the_whole_string_renderers(monkeypatch, capsys)
         code, out = _output(capsys, argv, "json")
         assert code == expected_code, argv
         record = records[tuple(argv)] = json.loads(out)
-        assert out == json.dumps(record, indent=2) + "\n", argv
+        _assert_same_text(out, json.dumps(record, indent=2) + "\n", argv)
         code, out = _output(capsys, argv, "csv")
         assert code == expected_code, argv
-        assert out == _reference_csv(record["result"]), argv
+        _assert_same_text(out, _reference_csv(record["result"]), argv)
 
     head = "command: avoid\n  n: {n}\n  avoid:\n    {avoid}\n  count_only: {count}\n  threads: {threads}\nresult:\n"
     texts = {
@@ -697,7 +772,7 @@ def test_streamed_output_matches_the_whole_string_renderers(monkeypatch, capsys)
     for argv, expected in texts.items():
         code, out = _output(capsys, list(argv), "text")
         assert code == 0, argv
-        assert _masked(out) == expected + "elapsed_ms: 0\n", argv
+        _assert_same_text(_masked(out), expected + "elapsed_ms: 0\n", argv)
     code, out = _output(capsys, ["verify", "lemma2", "--n", "3"], "text")
     assert code == 2
     assert _masked(out) == (
@@ -739,14 +814,14 @@ def test_output_reaches_stdout_in_blocks(monkeypatch):
     poly_result = json.loads(outs["poly", "json"])["result"]
     for command in ("avoid", "poly"):
         out = outs[command, "json"]
-        assert out == json.dumps(json.loads(out), indent=2) + "\n", command
-        assert outs[command, "csv"] == _reference_csv(json.loads(out)["result"]), command
-    assert _masked(outs["avoid", "text"]) == (
+        _assert_same_text(out, json.dumps(json.loads(out), indent=2) + "\n", command)
+        _assert_same_text(outs[command, "csv"], _reference_csv(json.loads(out)["result"]), command)
+    _assert_same_text(_masked(outs["avoid", "text"]), (
         "command: avoid\n  n: 9\n  avoid:\n    3,2,1\n  count_only: False\n  threads: 1\nresult:\n"
         f"  count: {len(perms)}\n  permutations:\n    " + " ".join(perms) + "\nelapsed_ms: 0\n"
-    )
-    assert _masked(outs["poly", "text"]) == (
+    ), "avoid")
+    _assert_same_text(_masked(outs["poly", "text"]), (
         "command: poly\n  n: 127\n  avoid:\n    3,2,1\n  stat: charge\n  fast: True\n  threads: 1\nresult:\n"
         "  coefficients:\n    " + " ".join(map(str, poly_result["coefficients"]))
         + f"\n  coefficient_sum: {poly_result['coefficient_sum']}\nelapsed_ms: 0\n"
-    )
+    ), "poly")
