@@ -27,13 +27,14 @@ usage, parse, and resource errors.
 Each command imports only the library it runs: this module loads
 perm_core and statistics, and the handlers that call tableaux or
 wilf_engine import them.  main() changes no process-wide state, so
-in-process callers may call it repeatedly; the program entry in __main__
+in-process callers may call it repeatedly; run(), the program entry,
 adds the exit-time gc.freeze().
 """
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import io
 import itertools
 import json
@@ -252,8 +253,8 @@ def _map_shards(shard, n, threads) -> list:
     safe).  Worker w takes the interleaved f = w + 1, w + 1 + W, ... and
     pickles them back through a pipe.  Each reply is unpickled as it is
     read, one worker at a time, so no pickled reply is held whole.  The
-    first failure found (a worker's exception, or a worker that died) is
-    raised once the other workers have been stopped and reaped.
+    first failure found (a worker's exception, or OSError for a worker that
+    died) is raised once the other workers have been stopped and reaped.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(threads, n, max(2, cpus))
@@ -290,7 +291,7 @@ def _map_shards(shard, n, threads) -> list:
             status = os.waitpid(pid, 0)[1]
             del running[0]
             if status or reply is None:
-                raise RuntimeError(f"shard worker {w + 1} of {workers} ended with wait status {status}")
+                raise OSError(f"shard worker {w + 1} of {workers} ended with wait status {status}")
             error, got = reply
             if error is not None:
                 raise error
@@ -568,8 +569,10 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         params, result, code = args.handler(args)
-    except (CommandError, ExhaustionError, ValueError) as exc:
-        print(f"permstat: error: {exc}", file=sys.stderr)
+    # bad input, a refused size, and what the environment denies: memory, an index-sized
+    # integer, a fork or pipe, a worker that died (OSError); programming errors still raise
+    except (CommandError, ExhaustionError, ValueError, MemoryError, OverflowError, OSError) as exc:
+        print(f"permstat: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_ERROR
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     record = {"command": args.command, "parameters": params, "result": result, "elapsed_ms": elapsed_ms}
@@ -578,7 +581,30 @@ def main(argv=None) -> int:
     return code
 
 
-if __name__ == "__main__":  # python -m permstat.cli: the one program entry, as for python -m permstat
-    from .__main__ import run
+def run() -> int:
+    """The program entry of ``python -m permstat``, ``python -m permstat.cli`` and
+    the ``permstat`` script: main(), then gc.freeze().
 
+    gc.freeze() spares the interpreter's collections at exit a scan of every
+    object the command left, all of which the OS reclaims anyway.  Normal
+    finalization (stream flushes, atexit handlers) still runs.  main() itself
+    changes no collector state, so in-process callers keep theirs.
+
+    A reader that closes stdout early (``permstat avoid ... | head -2``) makes
+    the command exit 1 with nothing on stderr: run() flushes stdout itself, so
+    the broken pipe surfaces here rather than at exit, and then points stdout
+    at os.devnull so the interpreter's own flush at exit cannot fail again.
+    main() still raises BrokenPipeError to in-process callers.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_ERROR
+    gc.freeze()
+    return code
+
+
+if __name__ == "__main__":
     sys.exit(run())

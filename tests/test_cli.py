@@ -1,8 +1,10 @@
 import csv
+import errno
 import io
 import json
 import os
 import re
+import resource
 import signal
 import subprocess
 import sys
@@ -13,7 +15,7 @@ import pytest
 import permstat.cli as cli
 
 
-def run_cli(*args, env=None):
+def run_cli(*args, env=None, preexec_fn=None):
     merged = dict(os.environ)
     merged.update(env or {})
     return subprocess.run(
@@ -21,6 +23,7 @@ def run_cli(*args, env=None):
         capture_output=True,
         text=True,
         env=merged,
+        preexec_fn=preexec_fn,
     )
 
 
@@ -509,7 +512,7 @@ def test_replies_are_loaded_a_worker_at_a_time_and_a_dead_worker_is_reported():
     # replies far above a pipe's buffer: each worker blocks until its turn to be read
     lines = cli._map_shards(lambda first: [str(first)] * 100_000, 4, 2)
     assert lines == [[str(first)] * 100_000 for first in range(1, 5)]
-    with pytest.raises(RuntimeError, match="ended with wait status 768"):
+    with pytest.raises(OSError, match="ended with wait status 768"):
         cli._map_shards(_shard_dying_at_two, 5, 2)
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -547,7 +550,7 @@ except ChildProcessError:
 
 @pytest.mark.parametrize("workers, failure, raised", [
     (2, "raise", "ValueError shard 1 failed"),
-    (2, "exit", "RuntimeError shard worker 1 of 2 ended with wait status 768"),
+    (2, "exit", "OSError shard worker 1 of 2 ended with wait status 768"),
     (3, "raise", "ValueError shard 1 failed"),
     (3, "sleep", "ValueError shard 1 failed"),  # shard 2's worker is stopped, not waited for
 ], ids=["2-raise", "2-exit", "3-raise", "3-sleep"])
@@ -595,10 +598,67 @@ def test_threads_need_fork(monkeypatch, capsys):
     assert single == {"count": 42}
 
 
-def _imported_modules(*args):
-    """The modules `python -X importtime -m permstat ARGS` imports, and its stdout."""
+_FORK_REFUSED = BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+
+@pytest.mark.parametrize("failure, message", [
+    ("memory", "MemoryError"),  # a message-less exception is named by its type
+    ("exit", "shard worker 2 of 2 ended with wait status 768"),
+    ("fork", str(_FORK_REFUSED)),
+], ids=["memory", "exit", "fork"])
+def test_an_environment_failure_in_the_workers_ends_on_one_error_line(monkeypatch, capsys, failure, message):
+    def shard(n, patterns, stat, first):
+        if first == 2 and failure == "memory":
+            raise MemoryError
+        if first == 2 and failure == "exit":
+            os._exit(3)  # the worker ends before it replies
+
+    fork, forks = os.fork, []
+
+    def fork_refusing_the_second():
+        forks.append(None)
+        if failure == "fork" and len(forks) == 2:
+            raise _FORK_REFUSED
+        return fork()
+
+    monkeypatch.setattr(cli, "stat_polynomial", shard)
+    monkeypatch.setattr(os, "fork", fork_refusing_the_second)
+    assert cli.main(["poly", "--n", "5", "--avoid", "321", "--stat", "ch", "--threads", "2"]) == 1
+    assert capsys.readouterr() == ("", f"permstat: error: {message}\n")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # no child is left, reaped or running
+
+
+def _address_space_of_256_mb():
+    resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+
+@pytest.mark.parametrize("argv", [
+    ["poly", "--n", "10000000000", "--avoid", "321", "--stat", "ch"],  # C(n, 2) + 1 counts: no index that size
+    ["avoid", "--n", "10000000000", "--avoid", "321", "--count"],
+    ["avoid", "--n", "10000000000", "--avoid", "321", "--count", "--threads", "2"],
+], ids=["poly", "avoid", "avoid-threads"])
+def test_a_size_the_host_cannot_hold_ends_on_one_error_line(argv):
+    # the lowered address-space limit fails the allocation alike on every host
+    proc = run_cli(*argv, preexec_fn=_address_space_of_256_mb)
+    assert (proc.returncode, proc.stdout) == (1, ""), proc.stderr
+    assert proc.stderr.startswith("permstat: error: ") and proc.stderr.count("\n") == 1, proc.stderr
+
+
+@pytest.mark.parametrize("error", [TypeError, RecursionError])
+def test_a_programming_error_still_raises(monkeypatch, error):
+    def handler(args):
+        raise error("a fault in the program, not in its environment")
+
+    monkeypatch.setattr(cli, "_cmd_stat", handler)
+    with pytest.raises(error):
+        cli.main(["stat", "--perm", "1", "--stat", "maj"])
+
+
+def _imported_modules(*args, module="permstat"):
+    """The modules `python -X importtime -m MODULE ARGS` imports, and its stdout."""
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "permstat", *args],
+        [sys.executable, "-X", "importtime", "-m", module, *args],
         capture_output=True, text=True,
     )
     assert proc.returncode == 0, proc.stderr
@@ -620,6 +680,13 @@ def test_each_command_imports_only_the_library_it_runs():
     modules, out = _imported_modules("verify", "lemma5", "--k", "3", "--format", "json")
     assert "permstat.tableaux" in modules
     assert json.loads(out)["result"] == {"passed": True, "n": 7, "avoider_count": 429}
+
+
+def test_the_cli_module_is_run_once_as_the_program_entry():
+    # run as __main__, cli.py is not imported again as permstat.cli
+    modules, _ = _imported_modules("stat", "--perm", "1", "--stat", "maj", module="permstat.cli")
+    assert "permstat.statistics" in modules
+    assert "permstat.cli" not in modules
 
 
 def test_in_process_main_leaves_the_collector_alone(capsys):
