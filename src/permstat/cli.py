@@ -74,8 +74,6 @@ class _Parser(argparse.ArgumentParser):
 
 def parse_word(text: str) -> tuple[int, ...]:
     """Split '3,1,2' or the digit form '312' into integers; the library validates them."""
-    if text == "":
-        return ()
     tokens = text.split(",") if "," in text else list(text)
     values = []
     for token in tokens:
@@ -254,7 +252,8 @@ def _map_shards(shard, n, threads) -> list:
     pickles them back through a pipe.  Each reply is unpickled as it is
     read, one worker at a time, so no pickled reply is held whole.  The
     first failure found (a worker's exception, or OSError for a worker that
-    died) is raised once the other workers have been stopped and reaped.
+    died) is raised once the other workers have been stopped and reaped.  A worker whose
+    fork fails leaves neither end of its pipe open.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     workers = min(threads, n, max(2, cpus))
@@ -264,10 +263,10 @@ def _map_shards(shard, n, threads) -> list:
         raise CommandError("--threads N >= 2 needs os.fork, which this platform lacks; use --threads 1")
     import pickle  # only here, so single-process commands do not pay for it
 
-    parts, running = [None] * n, []  # running: (pid, read end) of each worker not yet reaped
+    parts, running, unclaimed = [None] * n, [], ()  # running: (pid, read end) of each worker not yet reaped
     try:
         for w in range(workers):
-            read_fd, write_fd = os.pipe()
+            unclaimed = read_fd, write_fd = os.pipe()  # closed below if the fork fails
             if (pid := os.fork()) == 0:  # the worker: pickle (error, its shards), then exit
                 try:
                     try:
@@ -279,6 +278,7 @@ def _map_shards(shard, n, threads) -> list:
                     os._exit(0)
                 finally:
                     os._exit(1)  # never return into the parent's code
+            unclaimed = ()
             os.close(write_fd)
             running.append((pid, os.fdopen(read_fd, "rb")))
         for w in range(workers):  # load, reap and check one worker at a time
@@ -297,6 +297,8 @@ def _map_shards(shard, n, threads) -> list:
                 raise error
             parts[w::workers] = got
     finally:
+        for fd in unclaimed:  # the pipe of a worker whose fork failed
+            os.close(fd)
         if running:  # a failure, raised once the workers still running are stopped and reaped
             import signal
 
@@ -318,8 +320,6 @@ def _cmd_stat(args):
 
 def _cmd_poly(args):
     patterns = _parse_pattern_flags(args.avoid)
-    if args.fast and patterns != frozenset({(3, 2, 1)}):
-        raise CommandError("--fast needs exactly --avoid 321")
     params = {
         "n": args.n,
         "avoid": _fmt_patterns(patterns),
@@ -327,10 +327,10 @@ def _cmd_poly(args):
         "fast": bool(args.fast),
         "threads": args.threads,
     }
-    if args.fast:
-        from .tableaux import fast_ch_321
+    if args.fast:  # the route and bound classes takes, at this one size
+        from .wilf_engine import polynomial_route
 
-        poly = fast_ch_321(args.n, args.stat)
+        (poly,) = polynomial_route(patterns, args.stat, args.n)(range(args.n, args.n + 1))
     else:
         shard = functools.partial(stat_polynomial, args.n, patterns, args.stat)
         poly = merge_polynomials(_map_shards(shard, args.n, args.threads))
@@ -516,7 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--avoid", action="append", metavar="PATTERN", help="forbidden pattern (repeatable)")
     p.add_argument("--stat", required=True, type=_stat_name, help="maj | ch | inv")
     route = p.add_mutually_exclusive_group()
-    route.add_argument("--fast", action="store_true", help="closed form over 321-avoiders; only for --stat ch or maj with exactly --avoid 321")
+    route.add_argument("--fast", action="store_true", help="compute as classes does: the closed form for 321 under ch or maj, the length-3 sweep, or enumeration")
     _add_threads(route)
     _add_format(p)
     p.set_defaults(handler=_cmd_poly)

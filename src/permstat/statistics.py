@@ -10,8 +10,8 @@ Appending v at 0-based position k after the values in bitmask ``used``
 adds a *gain*: k to the major index if the entry before v is larger,
 n - v to charge if v + 1 is placed, and the number of placed values
 above v to the inversions; the avoidance search sums these per depth.
-A nonempty set of length-3 patterns has a second route, the length-3
-sweep ``length3_polynomials``, bounded by MAX_DP_NMAX.
+The length-3 sweep ``length3_polynomials`` is a second route; which
+route serves a pattern set is decided by ``wilf_engine.polynomial_route``.
 
 The generating polynomial of a statistic over an avoidance set is held
 as a dense vector of exact integer coefficients (Python integers never

@@ -15,16 +15,14 @@ image set (Lemma 2), and since f also carries the major index to charge
 polynomial of its f-image.  Theorems 3 and 4 are therefore stated here
 once, for charge; the expected major-index classes are their f-images.
 
-A nonempty set of length-3 patterns takes the length-3 sweep
-(``statistics.length3_polynomials``) up to MAX_DP_NMAX; any other set is
-enumerated size by size up to MAX_EXHAUSTIVE.  Above its route's bound a
-candidate raises ExhaustionError before any polynomial is computed.
+Which exact route computes a pattern set's polynomials, and up to which
+size, is decided in one place, ``polynomial_route``.
 """
 from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import ExhaustionError, VerificationError
 from .perm_core import (
@@ -38,6 +36,7 @@ from .perm_core import (
 from .statistics import (
     CHARGE,
     MAJOR_INDEX,
+    MAX_DP_NMAX,
     _length3_set,
     charge,
     length3_polynomials,
@@ -70,11 +69,11 @@ _THEOREM4_CHARGE = (
 )
 
 
-def _check_size(n: int) -> None:
+def _check_size(n: int, route: str = "exhaustive", name: str = "MAX_EXHAUSTIVE", bound: int = MAX_EXHAUSTIVE) -> None:
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n > MAX_EXHAUSTIVE:
-        raise ExhaustionError(f"n={n} exceeds the exhaustive bound MAX_EXHAUSTIVE={MAX_EXHAUSTIVE}")
+    if n > bound:
+        raise ExhaustionError(f"n={n} exceeds the {route} bound {name}={bound}")
 
 
 def _set_key(patterns: frozenset[Permutation]) -> tuple[Permutation, ...]:
@@ -103,6 +102,35 @@ class WilfClassReport(namedtuple("WilfClassReport", "stat n_range classes witnes
         raise KeyError(f"{sorted(target)} is not among the report's candidates")
 
 
+def polynomial_route(patterns: Iterable[Sequence[int]], stat: str, n_max: int) -> Callable[[range], tuple]:
+    """
+    The exact route for a pattern set's statistic polynomials at sizes up to n_max.
+
+    The first route that serves the set is taken: the two-row closed form
+    (``tableaux.fast_ch_321``) for {321} under charge and the major index,
+    up to tableaux.MAX_FAST_N; the length-3 sweep (``length3_polynomials``)
+    for a nonempty set of length-3 patterns, up to MAX_DP_NMAX; otherwise
+    enumeration (``stat_polynomial``) size by size, up to MAX_EXHAUSTIVE.
+    Above its route's bound the set raises ExhaustionError, naming the
+    bound, before any polynomial is computed.  The returned function maps
+    a range of sizes within 0..n_max to their polynomials.
+
+    >>> [p.coeffs for p in polynomial_route([(3, 2, 1)], "maj", 3)(range(2, 4))]
+    [(1, 1), (1, 2, 2)]
+    """
+    canonical, pats = parse_stat(stat), normalize_patterns(patterns)
+    if pats == {(3, 2, 1)} and canonical in (CHARGE, MAJOR_INDEX):
+        from . import tableaux
+
+        _check_size(n_max, "fast-route", "MAX_FAST_N", tableaux.MAX_FAST_N)
+        return lambda sizes: tuple(tableaux.fast_ch_321(n, canonical) for n in sizes)
+    if _length3_set(pats):
+        _check_size(n_max, "length-3 sweep", "MAX_DP_NMAX", MAX_DP_NMAX)
+        return lambda sizes: length3_polynomials(sizes[-1], pats, canonical)[sizes[0]:]
+    _check_size(n_max)
+    return lambda sizes: tuple(stat_polynomial(n, pats, canonical) for n in sizes)
+
+
 def st_wilf_classes(
     candidates: Iterable[Iterable[Sequence[int]]],
     stat: str,
@@ -112,28 +140,16 @@ def st_wilf_classes(
     Partition candidate pattern sets by statistic polynomials over sizes 0..n_max.
 
     Every candidate's polynomials are retained as witnesses, so a report
-    is self-contained evidence for its partition.  A nonempty set of
-    length-3 patterns takes the length-3 sweep up to MAX_DP_NMAX, any
-    other set enumeration up to MAX_EXHAUSTIVE; above its route's bound a
-    candidate raises ExhaustionError before anything is computed.
+    is self-contained evidence for its partition.  Each candidate takes
+    its ``polynomial_route``, and every candidate is routed, so every
+    bound is checked, before any polynomial is computed.
     """
     canonical = parse_stat(stat)
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
     sets = sorted({normalize_patterns(c) for c in candidates}, key=_set_key)
     if not sets:
         raise ValueError("candidates must be nonempty")
-    enumerated = [pi for pi in sets if not _length3_set(pi)]
-    if enumerated and n_max > MAX_EXHAUSTIVE:
-        raise ExhaustionError(
-            f"n_max={n_max} exceeds the exhaustive bound MAX_EXHAUSTIVE={MAX_EXHAUSTIVE} "
-            f"of enumerated candidates such as {sorted(enumerated[0])}"
-        )
-    witness = {
-        pi: length3_polynomials(n_max, pi, canonical) if _length3_set(pi)
-        else tuple(stat_polynomial(n, pi, canonical) for n in range(n_max + 1))
-        for pi in sets
-    }
+    routes = {pi: polynomial_route(pi, canonical, n_max) for pi in sets}
+    witness = {pi: route(range(n_max + 1)) for pi, route in routes.items()}
     groups: dict[tuple, list[frozenset[Permutation]]] = {}
     for pi in sets:
         key = tuple(poly.coeffs for poly in witness[pi])

@@ -1,6 +1,7 @@
 import csv
 import errno
 import io
+import itertools
 import json
 import os
 import re
@@ -92,12 +93,51 @@ def test_poly_fast_path():
 
 
 def test_poly_fast_flag_misuse():
-    proc = run_cli("poly", "--n", "5", "--avoid", "321", "--stat", "inv", "--fast")
-    assert proc.returncode == 1
-    assert "charge and major_index" in proc.stderr
-    proc = run_cli("poly", "--n", "5", "--avoid", "132", "--stat", "ch", "--fast")
-    assert proc.returncode == 1
-    assert "--fast" in proc.stderr
+    from permstat.statistics import stat_polynomial
+
+    # sets beyond the closed form take the length-3 sweep or enumeration, as classes does
+    for pattern, stat in (("321", "inv"), ("132", "ch")):
+        expected = stat_polynomial(5, [cli.parse_permutation(pattern)], stat)
+        record = run_json("poly", "--n", "5", "--avoid", pattern, "--stat", stat, "--fast")
+        assert record["result"]["coefficients"] == list(expected.coeffs)
+    # above the route's bound: refused before any work, naming the bound
+    for argv, bound in (
+        (("--n", "10", "--avoid", "1234", "--stat", "inv"), "MAX_EXHAUSTIVE=9"),
+        (("--n", "21", "--avoid", "132", "--stat", "ch"), "MAX_DP_NMAX=20"),
+        (("--n", "128", "--avoid", "321", "--stat", "maj"), "MAX_FAST_N=127"),
+    ):
+        proc = run_cli("poly", "--fast", *argv)
+        assert (proc.returncode, proc.stdout) == (1, ""), argv
+        assert proc.stderr.startswith("permstat: error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert bound in proc.stderr, proc.stderr
+
+
+_AGREEMENT_SETS = [list(c) for k in range(1, 7) for c in itertools.combinations(
+    ["123", "132", "213", "231", "312", "321"], k)] + [[], ["21"], ["1234"], ["321", "1234"]]
+
+
+def test_poly_fast_prints_the_witness_classes_computes(capsys):
+    from permstat.statistics import stat_polynomial
+    from permstat.wilf_engine import st_wilf_classes
+
+    def agree(patterns, stat, n):
+        pats = frozenset(cli.parse_permutation(t) for t in patterns)
+        avoid = [arg for t in patterns for arg in ("--avoid", t)]
+        fast = _result(capsys, "poly", "--fast", "--n", str(n), *avoid, "--stat", stat)["coefficients"]
+        witness = list(st_wilf_classes([pats], stat, n).witness_polynomials[pats][n].coeffs)
+        assert fast == witness, (patterns, stat, n)
+        if n <= 7:
+            assert fast == list(stat_polynomial(n, pats, stat).coeffs), (patterns, stat, n)
+
+    for i, patterns in enumerate(_AGREEMENT_SETS):
+        for stat in ("ch", "maj", "inv"):
+            agree(patterns, stat, 4 + i % 4)
+    # each route near its bound: the sweep, enumeration and the closed form
+    agree(["132", "312"], "maj", 20)
+    agree(["213", "231", "321"], "inv", 20)
+    agree(["321", "1234"], "ch", 9)
+    agree(["321"], "ch", 60)
+    agree(["321"], "maj", 60)
 
 
 def test_poly_fast_answers_maj_as_enumeration_and_corollary9_do(capsys):
@@ -621,9 +661,14 @@ def test_an_environment_failure_in_the_workers_ends_on_one_error_line(monkeypatc
             raise _FORK_REFUSED
         return fork()
 
+    def open_fds():
+        return sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
     monkeypatch.setattr(cli, "stat_polynomial", shard)
     monkeypatch.setattr(os, "fork", fork_refusing_the_second)
+    before = open_fds()
     assert cli.main(["poly", "--n", "5", "--avoid", "321", "--stat", "ch", "--threads", "2"]) == 1
+    assert open_fds() == before  # no pipe is left open, not even one whose fork failed
     assert capsys.readouterr() == ("", f"permstat: error: {message}\n")
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)  # no child is left, reaped or running

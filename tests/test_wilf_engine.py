@@ -5,6 +5,8 @@ import pytest
 
 from math import comb
 
+import permstat.cli as cli
+
 from permstat import (
     MAX_DP_NMAX,
     MAX_EXHAUSTIVE,
@@ -21,6 +23,7 @@ from permstat import (
     length3_polynomials,
     major_index,
     st_wilf_classes,
+    tableaux,
     verify_lemma1,
     verify_lemma2,
     verify_theorem3,
@@ -288,14 +291,25 @@ def test_one_test_says_which_sets_the_length3_sweep_serves():
         assert _length3_set(pi) == accepted, pi
 
 
-def test_st_wilf_classes_refuses_before_computing(monkeypatch):
+def test_st_wilf_classes_refuses_before_computing(monkeypatch, capsys):
     def computed(*args, **kwargs):
         pytest.fail(f"a polynomial was computed before the refusal: {args}")
 
+    monkeypatch.setattr(tableaux, "fast_ch_321", computed)
     monkeypatch.setattr(wilf_engine, "length3_polynomials", computed)
     monkeypatch.setattr(wilf_engine, "stat_polynomial", computed)
     with pytest.raises(ExhaustionError, match=f"MAX_EXHAUSTIVE={MAX_EXHAUSTIVE}"):
         st_wilf_classes([[s] for s in S3] + [[(1, 2, 3, 4)]], "ch", MAX_EXHAUSTIVE + 1)
+    # {321} (the closed form) and a length-3 pair (the sweep) sort before the enumerated set over its bound
+    with pytest.raises(ExhaustionError, match=f"MAX_EXHAUSTIVE={MAX_EXHAUSTIVE}"):
+        st_wilf_classes([[(3, 2, 1)], [(1, 3, 2), (2, 1, 3)], [(4, 3, 2, 1)]], "maj", MAX_EXHAUSTIVE + 1)
+    with pytest.raises(ExhaustionError, match=f"MAX_FAST_N={tableaux.MAX_FAST_N}"):
+        st_wilf_classes([[(3, 2, 1)]], "ch", tableaux.MAX_FAST_N + 1)
+    with pytest.raises(ExhaustionError, match=f"MAX_FAST_N={tableaux.MAX_FAST_N}"):
+        wilf_engine.polynomial_route([(3, 2, 1)], "maj", tableaux.MAX_FAST_N + 1)
+    argv = ["classes", "--candidate", "321", "--stat", "ch", "--nmax", str(tableaux.MAX_FAST_N + 1)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr() == ("", "permstat: error: n=128 exceeds the fast-route bound MAX_FAST_N=127\n")
 
 
 def test_verify_lemma1_small_sizes():
