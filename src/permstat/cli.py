@@ -165,21 +165,23 @@ def _text_record(record: dict):
 
 
 def _csv_rows(result: dict):
-    if "coefficients" in result:
+    """A verdict (a result with `passed`, as every verify result has) or a result with no
+    table flattens to field,value rows, so the verdict is kept; any other result is its table."""
+    if "passed" in result or not result.keys() & {"coefficients", "permutations", "classes"}:
+        yield ["field", "value"]
+        for k, v in result.items():
+            yield k, json.dumps(_json_safe(v)) if isinstance(v, (dict, list)) else v
+    elif "coefficients" in result:
         yield ["degree", "coefficient"]
         yield from enumerate(result["coefficients"])
     elif "permutations" in result:
         yield ["permutation"]
         yield from zip(result["permutations"])
-    elif "classes" in result:
+    else:
         yield ["class_index", "pattern_set"]
         for i, cls in enumerate(result["classes"]):
             for member in cls:
                 yield i, member
-    else:
-        yield ["field", "value"]
-        for k, v in result.items():
-            yield k, json.dumps(_json_safe(v)) if isinstance(v, (dict, list)) else v
 
 
 def _csv_text(rows) -> str:

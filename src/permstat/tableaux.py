@@ -35,11 +35,14 @@ BallotWord = tuple[int, ...]
 
 _PATTERN_321 = (3, 2, 1)
 
-# Refusal limits, so that no input runs for an unbounded time: the
-# closed form costs O(n**3) big-integer steps (n = 127 in a fraction of a
-# second); ranking and unranking a word take about six times as long per
-# doubling of its length (under half a second at 2047 letters); the
-# involution check walks every word.
+# Refusal limits, so that no input runs for an unbounded time, each checked
+# in the function that pays for the work and before it starts.  The q-binomials
+# of two_row_maj_polynomials cost O(n**3) big-integer steps (n = 127 in a
+# fraction of a second), so it refuses n above MAX_FAST_N.  Ranking and
+# unranking a word take about six times as long per doubling of its length
+# (under half a second at 2047 letters), so ballot_rank refuses a word above
+# MAX_INVOLUTION_N once it has validated it, and ballot_unrank a length above
+# it before it counts words.  The involution check walks every word.
 MAX_PARITY_K = 7
 MAX_FAST_N = 2**MAX_PARITY_K - 1
 MAX_LEMMA5_K = 10
@@ -203,23 +206,19 @@ def enumerate_two_row_syt(n: int) -> Iterator[BallotWord]:
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    word: list[int] = []
-
-    def extend(balance: int) -> Iterator[BallotWord]:
-        if len(word) == n:
-            yield tuple(word)
+    word, balance = [1] * n, n  # the all-1s word, first of all; balance: 1s minus 2s
+    while True:
+        # the next word: the last 1 whose prefix holds more 1s than 2s becomes a 2,
+        # and every later letter a 1
+        for i in range(n - 1, -1, -1):
+            balance += 1 if word[i] == 2 else -1  # now the balance of word[:i]
+            if word[i] == 1 and balance > 0:
+                break
+        else:
             return
-        word.append(1)
-        yield from extend(balance + 1)
-        word.pop()
-        if balance > 0:
-            word.append(2)
-            yield from extend(balance - 1)
-            word.pop()
-
-    for w in extend(0):
-        if 2 in w:
-            yield w
+        word[i:] = [2] + [1] * (n - i - 1)
+        balance += n - i - 2
+        yield tuple(word)
 
 
 def count_two_row(n: int) -> int:
@@ -267,11 +266,14 @@ def ballot_rank(word: Sequence[int]) -> int:
 
     The all-1s word encodes a single-row tableau and has no rank here.
     Runs in O(n^2) binomial terms via the prefix-completion counts, not by
-    enumeration.
+    enumeration.  Refuses, in this order and before any ranking: a word that
+    is not a ballot word, the all-1s word, and a word longer than
+    MAX_INVOLUTION_N.
     """
     w = _check_ballot(word)
     if 2 not in w:
         raise ValueError("all-1s word encodes a single-row tableau and has no rank")
+    _check_length(len(w))
     rank_all = 0
     balance = 0
     for i, letter in enumerate(w):
@@ -285,7 +287,11 @@ def ballot_rank(word: Sequence[int]) -> int:
 
 
 def ballot_unrank(n: int, r: int) -> BallotWord:
-    """Inverse of ballot_rank: the rank-r two-row ballot word of length n."""
+    """Inverse of ballot_rank: the rank-r two-row ballot word of length n.
+
+    Refuses n above MAX_INVOLUTION_N before it counts the words of that
+    length, then a rank out of range."""
+    _check_length(n)
     if not 0 <= r < count_two_row(n):
         raise ValueError(f"rank {r} out of range 0..{count_two_row(n) - 1} for n={n}")
     target = r + 1
@@ -312,8 +318,10 @@ def involution_phi(word: Sequence[int]) -> BallotWord:
     Pairs lexicographic ranks 2t and 2t+1, so applying it twice is the
     identity and no word maps to itself.  It needs the number of two-row
     words to be even, which holds exactly at sizes of the form 2**k - 1;
-    other sizes are refused rather than silently fixing a point, and so
-    are words longer than MAX_INVOLUTION_N, before any ranking.
+    other sizes are refused rather than silently fixing a point.  The word
+    is validated once, by ballot_rank, which also refuses the all-1s word
+    and, before it ranks, a word longer than MAX_INVOLUTION_N; the parity
+    refusal comes after the ranking.
 
     The pairing follows rank order only: it keeps neither the shape nor
     the charge of the tableau (at n = 7 the shape is kept on 12 of the
@@ -324,17 +332,21 @@ def involution_phi(word: Sequence[int]) -> BallotWord:
     >>> involution_phi((1, 1, 2))
     (1, 2, 1)
     """
-    w = _check_ballot(word)
-    if 2 in w:  # ballot_rank refuses an all-1s word, whatever its length
-        _pairable_count(len(w))
-    return ballot_unrank(len(w), ballot_rank(w) ^ 1)
+    rank = ballot_rank(word)
+    _pairable_count(len(word))
+    return ballot_unrank(len(word), rank ^ 1)
+
+
+def _check_length(n: int) -> None:
+    """Refuse a ballot-word length above MAX_INVOLUTION_N, in constant time."""
+    if n > MAX_INVOLUTION_N:
+        raise ExhaustionError(f"length n={n} exceeds the ballot-word bound MAX_INVOLUTION_N={MAX_INVOLUTION_N}")
 
 
 def _pairable_count(n: int) -> int:
     """The number of two-row words of length n, refused unless n is at most
     MAX_INVOLUTION_N (checked first, in constant time) and the number is even."""
-    if n > MAX_INVOLUTION_N:
-        raise ExhaustionError(f"length n={n} exceeds the ballot-word bound MAX_INVOLUTION_N={MAX_INVOLUTION_N}")
+    _check_length(n)
     m = count_two_row(n)
     if m % 2 != 0:
         raise ValueError(f"no fixed-point-free involution guaranteed: {m} two-row words at n={n}")
@@ -402,12 +414,15 @@ def two_row_maj_polynomials(n: int) -> list[list[int]]:
     Each is [n choose r]_q - [n choose r-1]_q.  The q-binomials come from
     the product rule [n choose r] = [n choose r-1] (1 - q**(n-r+1)) / (1 - q**r),
     one multiplication and one exact division per step, all in integers.
+    Refuses a negative n, then n above MAX_FAST_N, before the O(n**3) loop.
 
     >>> two_row_maj_polynomials(3)
     [[1], [0, 1, 1]]
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if n > MAX_FAST_N:
+        raise ExhaustionError(f"n={n} exceeds the fast-route bound MAX_FAST_N={MAX_FAST_N}")
     prev = [1]
     out = [prev]
     for r in range(1, n // 2 + 1):
@@ -439,14 +454,12 @@ def fast_ch_321(n: int, stat: str = CHARGE) -> StatPolynomial:
 
     which is also the major-index polynomial (maj(p) = maj(Q)), returned
     under stat.  This is the one statement of what the closed form serves:
-    it refuses any statistic but charge and major index, and n above
-    MAX_FAST_N.
+    it refuses any statistic but charge and major index, and then
+    two_row_maj_polynomials refuses n above MAX_FAST_N.
     """
     stat = parse_stat(stat)
     if stat not in (CHARGE, MAJOR_INDEX):
         raise ValueError(f"the 321 closed form serves {CHARGE} and {MAJOR_INDEX}, not {stat}")
-    if n > MAX_FAST_N:
-        raise ExhaustionError(f"n={n} exceeds the fast-route bound MAX_FAST_N={MAX_FAST_N}")
     shapes = two_row_maj_polynomials(n)
     counts = [0] * (n * (n - 1) // 2 + 1)
     for r, shape_poly in enumerate(shapes):

@@ -395,6 +395,26 @@ def test_a_ballot_word_above_the_length_bound_is_refused_before_ranking(capsys):
     )
 
 
+def test_csv_keeps_the_verdict_of_every_verify_target(capsys):
+    # a check that carries coefficients or classes still reports passed, as field,value rows
+    for argv in (
+        ["verify", "theorem8", "--k", "2"],
+        ["verify", "corollary9", "--k", "2"],
+        ["verify", "theorem3", "--nmax", "4"],
+        ["verify", "theorem4", "--nmax", "4", "--stat", "maj"],
+    ):
+        code, out = _output(capsys, argv, "json")
+        assert code == 0, argv
+        result = json.loads(out)["result"]
+        code, out = _output(capsys, argv, "csv")
+        assert code == 0, argv
+        assert out.startswith("field,value\npassed,True\n"), argv
+        assert out == _reference_csv(result), argv
+        rows = dict(csv.reader(io.StringIO(out)))
+        for key in result.keys() & {"coefficients", "classes", "witness_polynomials"}:
+            assert json.loads(rows[key]) == result[key], (argv, key)
+
+
 def test_involution_of_a_long_ballot_word():
     # length 2**10 - 1, far beyond any recursion limit
     record = run_json("involution", "--word", "1" * 1022 + "2")
@@ -798,7 +818,10 @@ def _output(capsys, argv, fmt):
 
 
 def _reference_csv(result) -> str:
-    if "coefficients" in result:
+    if "passed" in result:  # a verdict flattens whole, whatever tables it carries
+        rows = [["field", "value"]]
+        rows += [[k, json.dumps(v) if isinstance(v, (dict, list)) else v] for k, v in result.items()]
+    elif "coefficients" in result:
         rows = [["degree", "coefficient"]] + [[d, c] for d, c in enumerate(result["coefficients"])]
     elif "permutations" in result:
         rows = [["permutation"]] + [[p] for p in result["permutations"]]

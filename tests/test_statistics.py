@@ -185,6 +185,8 @@ def test_stat_polynomial_canonical_form():
         StatPolynomial(coeffs=(1, 0), n=2, patterns=frozenset(), stat="charge")
     with pytest.raises(ValueError):
         StatPolynomial(coeffs=(-1,), n=1, patterns=frozenset(), stat="charge")
+    with pytest.raises(ValueError, match="unknown statistic 'des'"):
+        StatPolynomial(coeffs=(1,), n=0, patterns=frozenset(), stat="des")
     zero = StatPolynomial.from_counts([0, 0], n=1, patterns=[(1,)], stat="ch")
     assert zero.coeffs == ()
     assert zero.total() == 0

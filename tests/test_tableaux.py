@@ -1,4 +1,5 @@
 import itertools
+import time
 from math import comb
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from permstat import (
     ExhaustionError,
+    StatPolynomial,
     VerificationError,
     all_permutations,
     avoids_all,
@@ -16,6 +18,7 @@ from permstat import (
     count_two_row,
     enumerate_two_row_syt,
     fast_ch_321,
+    has_parity_pattern,
     identity,
     involution_phi,
     is_ballot_word,
@@ -170,12 +173,14 @@ def test_enumerate_two_row_syt_small():
         (1, 2, 1, 1),
         (1, 2, 1, 2),
     ]
+    with pytest.raises(ValueError, match="nonnegative"):
+        list(enumerate_two_row_syt(-1))
 
 
 def test_two_row_counts_match_enumeration_and_formula():
     for n in range(13):
         stream = list(enumerate_two_row_syt(n))
-        assert stream == sorted(stream)
+        assert stream == [w for w in itertools.product((1, 2), repeat=n) if 2 in w and is_ballot_word(w)]
         assert len(stream) == count_two_row(n)
         assert count_two_row(n) == (comb(n, n // 2) - 1 if n >= 2 else 0)
 
@@ -296,6 +301,43 @@ def test_involution_refuses_words_above_its_length_bound():
         involution_phi((1,) * 4095)
 
 
+def test_ranking_and_the_q_binomials_refuse_above_their_bounds_at_once():
+    # each bound sits in the function that does the work, and is checked before it
+    for refused, bound in (
+        (lambda: ballot_rank((1, 2) * 2047 + (1,)), "MAX_INVOLUTION_N=2047"),
+        (lambda: ballot_unrank(4095, 0), "MAX_INVOLUTION_N=2047"),
+        (lambda: ballot_unrank(10**6, 0), "MAX_INVOLUTION_N=2047"),
+        (lambda: two_row_maj_polynomials(128), "MAX_FAST_N=127"),
+        (lambda: two_row_maj_polynomials(10**4), "MAX_FAST_N=127"),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(ExhaustionError, match=bound):
+            refused()
+        assert time.perf_counter() - start < 0.1
+    # a word's own faults still come before its length
+    with pytest.raises(ValueError, match="prefix of length 1"):
+        ballot_rank((2,) + (1,) * 4094)
+    with pytest.raises(ValueError, match="all-1s word"):
+        ballot_rank((1,) * 4095)
+    assert ballot_unrank(tableaux.MAX_INVOLUTION_N, 0) == (1,) * 2046 + (2,)
+    assert len(two_row_maj_polynomials(tableaux.MAX_FAST_N)) == 64
+    with pytest.raises(ValueError, match="nonnegative"):
+        two_row_maj_polynomials(-1)
+
+
+def test_verify_involution_validates_each_word_once(monkeypatch):
+    calls = []
+    fault = tableaux._ballot_fault
+
+    def counted(word):
+        calls.append(len(word))
+        return fault(word)
+
+    monkeypatch.setattr(tableaux, "_ballot_fault", counted)
+    assert verify_involution(15)
+    assert len(calls) == count_two_row(15) == 6434
+
+
 def test_involution_refuses_odd_counts():
     with pytest.raises(ValueError):
         involution_phi((1, 1, 2, 1, 2))  # n=5 has 9 two-row words
@@ -383,6 +425,40 @@ def test_fast_ch_321_at_size_fifteen():
     assert poly.total() == 9_694_845
     assert poly.coeffs[0] == 1
     assert all(c % 2 == 0 for c in poly.coeffs[1:])
+
+
+def test_has_parity_pattern_needs_constant_term_one():
+    assert has_parity_pattern(StatPolynomial.from_counts([1, 2, 4], n=3, patterns=P321, stat="ch"))
+    for counts in ([3, 2], [0, 2], [], [1, 3]):
+        assert not has_parity_pattern(StatPolynomial.from_counts(counts, n=3, patterns=P321, stat="ch"))
+
+
+def test_lemma5_cross_check_failure_is_raised(monkeypatch):
+    monkeypatch.setattr(tableaux, "enumerate_avoiders", lambda n, patterns: iter([(1,)] * 5))
+    with pytest.raises(VerificationError, match=r"shape-count identity failed at n=7: 429 != 5") as caught:
+        lemma5_count(3)
+    assert caught.value.witness is None
+    assert lemma5_count(4) == 9694845  # above k = 3 nothing is enumerated
+
+
+def test_parity_polynomial_cross_check_failures_are_raised(monkeypatch):
+    # k <= 3: the closed form against enumeration of the named statistic
+    def wrong_enumeration(n, patterns, stat):
+        return StatPolynomial.from_counts([1, 1], n=n, patterns=patterns, stat=stat)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tableaux, "stat_polynomial", wrong_enumeration)
+        with pytest.raises(VerificationError, match="closed-form major_index polynomial disagrees") as caught:
+            parity_polynomial(2, "maj")
+    assert caught.value.witness == ((1, 2, 2), (1, 1))
+    # k > 3: the coefficient sum against the Catalan number
+    def wrong_closed_form(n, stat):
+        return StatPolynomial.from_counts([1, 2], n=n, patterns=P321, stat=stat)
+
+    monkeypatch.setattr(tableaux, "fast_ch_321", wrong_closed_form)
+    with pytest.raises(VerificationError, match="coefficient sum 3 at n=15 is not the Catalan number") as caught:
+        parity_polynomial(4, "ch")
+    assert caught.value.witness is None
 
 
 def test_verify_lemma5():

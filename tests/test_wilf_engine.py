@@ -277,6 +277,8 @@ def test_st_wilf_classes_bounds_per_route():
     assert st_wilf_classes(singletons + [[(2, 1)]], "inv", MAX_EXHAUSTIVE).n_range == (0, MAX_EXHAUSTIVE)
     with pytest.raises(ValueError):
         length3_polynomials(-1, [(1, 2, 3)], "ch")
+    with pytest.raises(ExhaustionError, match=f"n_max=21 exceeds .* MAX_DP_NMAX={MAX_DP_NMAX}"):
+        length3_polynomials(MAX_DP_NMAX + 1, [(1, 3, 2)], "ch")  # only a direct call reaches it
 
 
 def test_one_test_says_which_sets_the_length3_sweep_serves():
@@ -328,6 +330,17 @@ def test_verify_lemma1_respects_the_exhaustion_bound():
 def test_verify_lemma2_returns_the_correspondence():
     for n in range(7):
         assert verify_lemma2(n) == F_CORRESPONDENCE
+
+
+def test_verify_lemma2_names_the_least_differing_permutation(monkeypatch):
+    # f breaks on S_4 (it fixes every permutation there) but still maps the patterns
+    monkeypatch.setattr(wilf_engine, "f_map", lambda p: f_map(p) if len(p) == 3 else p)
+    message = r"the \(1, 3, 2\)-avoiders differs from the \(2, 1, 3\)-avoiders at n=4"
+    with pytest.raises(VerificationError, match=message) as caught:
+        verify_lemma2(4)
+    avoiders = {t: {p for p in all_permutations(4) if t not in contained_patterns(p, 3)}
+                for t in ((1, 3, 2), (2, 1, 3))}
+    assert caught.value.witness == min(avoiders[1, 3, 2] ^ avoiders[2, 1, 3])
 
 
 def test_verify_theorem3_structure():
