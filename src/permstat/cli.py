@@ -19,10 +19,15 @@ min(N, n, max(2, CPUs)) workers (POSIX only) over interleaved
 first-entry shards, merged back in first-entry order so the output does
 not depend on N.  --fast excludes --threads, --candidate excludes
 --size, and each verify target takes only its own flag, with --format
-after it.
+after it.  Every parser's flags are declared in one table, in usage
+order: _COMMANDS for the commands, _VERIFY_TARGETS for the verify
+targets; build_parser() adds --format last.
 
 Exit codes: 0 on success, 2 when a verification ran and failed, 1 for
-usage, parse, and resource errors.
+usage, parse, and resource errors.  Refused input, a size above a named
+bound included, is a ValueError, and what the environment denies is a
+MemoryError, OverflowError or OSError; main() prints each as one error
+line.
 
 Each command imports only the library it runs: this module loads
 perm_core and statistics, and the handlers that call tableaux or
@@ -43,7 +48,7 @@ import sys
 import time
 from math import factorial
 
-from .errors import ExhaustionError, VerificationError
+from .errors import VerificationError
 from .perm_core import check_permutation, enumerate_avoiders
 from .statistics import (
     CHARGE,
@@ -61,10 +66,6 @@ EXIT_ERROR = 1
 EXIT_FAIL = 2
 
 
-class CommandError(Exception):
-    """Bad input or flag combination; reported on stderr with exit code 1."""
-
-
 class _Parser(argparse.ArgumentParser):
     # usage problems exit 1, reserving 2 for verified failures
     def error(self, message):
@@ -79,7 +80,7 @@ def parse_word(text: str) -> tuple[int, ...]:
     for token in tokens:
         token = token.strip()
         if not token.isdigit():
-            raise CommandError(f"invalid token {token!r} in {text!r}")
+            raise ValueError(f"invalid token {token!r} in {text!r}")
         values.append(int(token))
     return tuple(values)
 
@@ -132,8 +133,6 @@ def _json_safe(value):
         return {str(k): _json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_json_safe(v) for v in value]
-    if isinstance(value, (set, frozenset)):
-        return sorted(_json_safe(v) for v in value)
     return value
 
 
@@ -262,7 +261,7 @@ def _map_shards(shard, n, threads) -> list:
     if workers < 2:
         return [shard(first=None)]
     if getattr(os, "fork", None) is None:
-        raise CommandError("--threads N >= 2 needs os.fork, which this platform lacks; use --threads 1")
+        raise OSError("--threads N >= 2 needs os.fork, which this platform lacks; use --threads 1")
     import pickle  # only here, so single-process commands do not pay for it
 
     parts, running, unclaimed = [None] * n, [], ()  # running: (pid, read end) of each worker not yet reaped
@@ -403,9 +402,13 @@ def _verify_lemma2(n):
 
 
 def _verify_report(check, nmax, stat):
+    """The report of a class check, passed or failed (whose witness is the report)."""
     from . import wilf_engine
 
-    return {"passed": True, **_report_payload(getattr(wilf_engine, check)(nmax, stat))}
+    try:
+        return {"passed": True, **_report_payload(getattr(wilf_engine, check)(nmax, stat))}
+    except VerificationError as exc:
+        return {"passed": False, "error": str(exc), **_report_payload(exc.witness)}
 
 
 def _verify_lemma5(k):
@@ -430,6 +433,13 @@ def _verify_involution(n):
 
 _INT = {"type": int, "required": True}
 _STAT = {"type": _stat_name, "default": "ch", "help": "maj | ch (default ch)"}
+_ANY_STAT = {"required": True, "type": _stat_name, "help": "maj | ch | inv"}
+_PATTERNS = {"action": "append", "metavar": "PATTERN"}
+# argparse converts a string default only when the flag is absent, so a
+# given --threads 1 still counts as given where another flag excludes it
+_THREADS = {"type": _positive_int, "default": "1", "metavar": "N",
+            "help": "run enumeration shards in up to N forked processes, at most max(2, CPUs) (default 1: none)"}
+_FORMAT = {"choices": ("text", "json", "csv"), "default": "text", "help": "output format (default text)"}
 
 # target -> (the flags its check reads, in record order, with their declarations; the check)
 _VERIFY_TARGETS = {
@@ -484,20 +494,40 @@ def _cmd_involution(args):
     return params, result, EXIT_PASS
 
 
-def _add_format(parser) -> None:
-    parser.add_argument(
-        "--format", choices=("text", "json", "csv"), default="text",
-        help="output format (default text)",
-    )
-
-
-def _add_threads(parser) -> None:
-    # argparse converts a string default only when the flag is absent, so a
-    # given --threads 1 still counts as given where another flag excludes it
-    parser.add_argument(
-        "--threads", type=_positive_int, default="1", metavar="N",
-        help="run enumeration shards in up to N forked processes, at most max(2, CPUs) (default 1: none)",
-    )
+# command -> (its help; its flags in usage order, with their declarations, before --format; the
+# flags among them that exclude one another).  verify's flags are its targets', in _VERIFY_TARGETS
+_COMMANDS = {
+    "stat": ("evaluate a statistic on one permutation", {
+        "perm": {"required": True, "help": "permutation, e.g. 3,2,8,5,7,4,6,1,9 (digit form ok below size 10)"},
+        "stat": _ANY_STAT,
+    }, ()),
+    "poly": ("statistic generating polynomial over an avoidance set", {
+        "n": _INT,
+        "avoid": {**_PATTERNS, "help": "forbidden pattern (repeatable)"},
+        "stat": _ANY_STAT,
+        "fast": {"action": "store_true", "help": "compute as classes does: the closed form for 321 under ch or maj, the length-3 sweep, or enumeration"},
+        "threads": _THREADS,
+    }, ("fast", "threads")),
+    "avoid": ("list or count an avoidance set", {
+        "n": _INT,
+        "avoid": _PATTERNS,
+        "count": {"action": "store_true", "help": "emit the count only"},
+        "threads": _THREADS,
+    }, ()),
+    "classes": ("st-Wilf equivalence classes of pattern sets", {
+        "stat": _ANY_STAT,
+        "nmax": _INT,
+        # a string default for the same reason as --threads'
+        "size": {"type": int, "choices": range(1, 7), "default": "1", "help": "use all size-k subsets of S_3 (default 1)"},
+        "candidate": {"action": "append", "metavar": "SET",
+                      "help": "explicit pattern set, patterns joined by '+', e.g. 132+213 (repeatable)"},
+    }, ("size", "candidate")),
+    "verify": ("run a named verification", {}, ()),
+    "rsk": ("insertion and recording tableaux of a permutation", {"perm": {"required": True}}, ()),
+    "involution": ("apply the two-row pairing involution to a ballot word", {
+        "word": {"required": True, "help": "ballot word over {1,2}, e.g. 1121"},
+    }, ()),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -506,63 +536,19 @@ def build_parser() -> argparse.ArgumentParser:
         description="Permutation statistics, avoidance sets, and equivalence checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("stat", help="evaluate a statistic on one permutation")
-    p.add_argument("--perm", required=True, help="permutation, e.g. 3,2,8,5,7,4,6,1,9 (digit form ok below size 10)")
-    p.add_argument("--stat", required=True, type=_stat_name, help="maj | ch | inv")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_stat)
-
-    p = sub.add_parser("poly", help="statistic generating polynomial over an avoidance set")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--avoid", action="append", metavar="PATTERN", help="forbidden pattern (repeatable)")
-    p.add_argument("--stat", required=True, type=_stat_name, help="maj | ch | inv")
-    route = p.add_mutually_exclusive_group()
-    route.add_argument("--fast", action="store_true", help="compute as classes does: the closed form for 321 under ch or maj, the length-3 sweep, or enumeration")
-    _add_threads(route)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_poly)
-
-    p = sub.add_parser("avoid", help="list or count an avoidance set")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--avoid", action="append", metavar="PATTERN")
-    p.add_argument("--count", action="store_true", help="emit the count only")
-    _add_threads(p)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_avoid)
-
-    p = sub.add_parser("classes", help="st-Wilf equivalence classes of pattern sets")
-    p.add_argument("--stat", required=True, type=_stat_name, help="maj | ch | inv")
-    p.add_argument("--nmax", type=int, required=True)
-    sets = p.add_mutually_exclusive_group()
-    # a string default for the same reason as in _add_threads
-    sets.add_argument("--size", type=int, choices=range(1, 7), default="1", help="use all size-k subsets of S_3 (default 1)")
-    sets.add_argument(
-        "--candidate", action="append", metavar="SET",
-        help="explicit pattern set, patterns joined by '+', e.g. 132+213 (repeatable)",
-    )
-    _add_format(p)
-    p.set_defaults(handler=_cmd_classes)
-
-    p = sub.add_parser("verify", help="run a named verification")
-    targets = p.add_subparsers(dest="target", required=True)
-    for target, (flags, _) in _VERIFY_TARGETS.items():
-        t = targets.add_parser(target, allow_abbrev=False)  # else --n passes for --nmax
-        for flag, declaration in flags.items():
-            t.add_argument(f"--{flag}", **declaration)
-        _add_format(t)
-    p.set_defaults(handler=_cmd_verify)
-
-    p = sub.add_parser("rsk", help="insertion and recording tableaux of a permutation")
-    p.add_argument("--perm", required=True)
-    _add_format(p)
-    p.set_defaults(handler=_cmd_rsk)
-
-    p = sub.add_parser("involution", help="apply the two-row pairing involution to a ballot word")
-    p.add_argument("--word", required=True, help="ballot word over {1,2}, e.g. 1121")
-    _add_format(p)
-    p.set_defaults(handler=_cmd_involution)
-
+    tables = []  # (a parser that takes flags, its flags, those in its mutually exclusive group)
+    for command, (help_text, flags, exclusive) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.set_defaults(handler=globals()[f"_cmd_{command}"])  # looked up per build, so a patched one runs
+        if command == "verify":  # its targets take no abbreviations, else --n passes for --nmax
+            targets = p.add_subparsers(dest="target", required=True)
+            tables += [(targets.add_parser(t, allow_abbrev=False), f, ()) for t, (f, _) in _VERIFY_TARGETS.items()]
+        else:
+            tables.append((p, flags, exclusive))
+    for p, flags, exclusive in tables:
+        group = exclusive and p.add_mutually_exclusive_group()  # none empty: 3.11 cannot print one
+        for flag, declaration in {**flags, "format": _FORMAT}.items():
+            (group if flag in exclusive else p).add_argument(f"--{flag}", **declaration)
     return parser
 
 
@@ -571,9 +557,9 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         params, result, code = args.handler(args)
-    # bad input, a refused size, and what the environment denies: memory, an index-sized
+    # bad input (a refused size too), and what the environment denies: memory, an index-sized
     # integer, a fork or pipe, a worker that died (OSError); programming errors still raise
-    except (CommandError, ExhaustionError, ValueError, MemoryError, OverflowError, OSError) as exc:
+    except (ValueError, MemoryError, OverflowError, OSError) as exc:
         print(f"permstat: error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_ERROR
     elapsed_ms = int((time.perf_counter() - start) * 1000)

@@ -209,7 +209,8 @@ def _verify_classes(
     f-image.  Below n_max = 6 accidental polynomial coincidences can
     merge classes, so only refinement is required there: each expected
     class must sit inside a single computed class.  From n_max = 6 on
-    the partition must match exactly.
+    the partition must match exactly.  A mismatch raises VerificationError
+    with the whole report as its witness.
     """
     canonical = parse_stat(stat)
     if canonical not in (CHARGE, MAJOR_INDEX):
@@ -222,12 +223,12 @@ def _verify_classes(
         if computed != expected:
             raise VerificationError(
                 f"class partition at n_max={n_max} does not match the expected one",
-                witness=report.classes,
+                witness=report,
             )
     elif not all(any(cls <= c for c in computed) for cls in expected):
         raise VerificationError(
             f"an expected class is split at n_max={n_max}",
-            witness=report.classes,
+            witness=report,
         )
     return report
 

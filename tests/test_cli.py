@@ -1,3 +1,4 @@
+import argparse
 import csv
 import errno
 import io
@@ -59,6 +60,12 @@ def test_parse_error_names_the_token():
     proc = run_cli("stat", "--perm", "3,x,1", "--stat", "maj")
     assert proc.returncode == 1
     assert "'x'" in proc.stderr
+    # refused input is a ValueError, a refused size too
+    from permstat.errors import ExhaustionError
+
+    with pytest.raises(ValueError, match="invalid token 'x' in '1x2'"):
+        cli.parse_word("1x2")
+    assert issubclass(ExhaustionError, ValueError)
 
 
 def test_invalid_permutation_diagnostics_are_distinct():
@@ -415,6 +422,46 @@ def test_csv_keeps_the_verdict_of_every_verify_target(capsys):
             assert json.loads(rows[key]) == result[key], (argv, key)
 
 
+# target -> (its table in wilf_engine, a wrong table, an n_max at which the check fails, the error)
+_WRONG_CLASS_TABLES = {
+    # from n_max 6 on the partition must match: this table pairs 132 with 213 instead of 312
+    "theorem3": ("_THEOREM3_CHARGE", (((1, 2, 3),), ((1, 3, 2), (2, 1, 3)), ((2, 3, 1), (3, 1, 2)), ((3, 2, 1),)),
+                 "6", "does not match the expected one"),
+    # below n_max 6 the expected classes need only refine the computed ones: {123, 132} splits this quadruple
+    "theorem4": ("_THEOREM4_CHARGE",
+                 (((1, 3, 2), (2, 1, 3)), ((2, 1, 3), (3, 1, 2)), ((1, 3, 2), (2, 3, 1)), ((1, 2, 3), (1, 3, 2))),
+                 "5", "is split at n_max=5"),
+}
+
+
+@pytest.mark.parametrize("target", sorted(_WRONG_CLASS_TABLES))
+def test_a_failed_class_check_prints_the_report_a_passed_one_prints(monkeypatch, capsys, target):
+    table, wrong, nmax, error = _WRONG_CLASS_TABLES[target]
+    argv = ["verify", target, "--nmax", nmax]
+    passed = {fmt: _output(capsys, argv, fmt) for fmt in ("json", "csv")}
+    assert passed["json"][0] == passed["csv"][0] == 0
+    monkeypatch.setattr(f"permstat.wilf_engine.{table}", wrong)
+    code, out = _output(capsys, argv, "json")
+    assert code == 2
+    result, passed_result = json.loads(out)["result"], json.loads(passed["json"][1])["result"]
+    assert result == {**passed_result, "passed": False, "error": result["error"]}
+    assert list(result) == ["passed", "error", *list(passed_result)[1:]]
+    assert error in result["error"]
+    code, out = _output(capsys, argv, "csv")
+    assert code == 2
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[:3] == [["field", "value"], ["passed", "False"], ["error", result["error"]]]
+    assert rows[3:] == list(csv.reader(io.StringIO(passed["csv"][1])))[2:]
+    code, out = _output(capsys, argv, "text")
+    assert code == 2
+    lines = out.splitlines()
+    assert lines[4:7] == ["result:", "  passed: False", f"  error: {result['error']}"]
+    classes = lines.index("  classes:")
+    assert lines[classes + 1:classes + 1 + len(result["classes"])] == ["    " + " ".join(c) for c in result["classes"]]
+    if target == "theorem3":
+        assert "    1,3,2 3,1,2" in lines
+
+
 def test_involution_of_a_long_ballot_word():
     # length 2**10 - 1, far beyond any recursion limit
     record = run_json("involution", "--word", "1" * 1022 + "2")
@@ -520,6 +567,32 @@ def test_exit_code_two_on_a_broken_involution(monkeypatch, capsys):
     assert rc == 2
     assert record["result"]["passed"] is False
     assert record["result"]["witness"] == [1, 1, 1, 1, 1, 1, 2]
+
+
+def _parsers(parser, path=()):
+    """(the command path, its parser) for parser and every parser below it."""
+    yield path, parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, child in action.choices.items():
+                yield from _parsers(child, path + (name,))
+
+
+def test_every_parser_takes_its_flags_from_the_table():
+    tables = {(command,): (flags, exclusive) for command, (_, flags, exclusive) in cli._COMMANDS.items()}
+    tables.update({("verify", target): (flags, ()) for target, (flags, _) in cli._VERIFY_TARGETS.items()})
+    parsers = dict(_parsers(cli.build_parser()))
+    assert parsers.keys() - {()} == tables.keys()
+    for command in cli._COMMANDS:
+        assert parsers[(command,)].get_default("handler") is getattr(cli, f"_cmd_{command}"), command
+    for path, (flags, exclusive) in tables.items():
+        parser = parsers[path]
+        listed = re.findall(r"--(\w+)", parser.format_usage())
+        assert listed == ([*flags, "format"] if path != ("verify",) else []), path  # verify's targets take its flags
+        groups = parser._mutually_exclusive_groups
+        assert all(group._group_actions for group in groups), path  # none empty
+        members = [[action.dest for action in group._group_actions] for group in groups]
+        assert members == ([list(exclusive)] if exclusive else []), path
 
 
 def _result(capsys, *argv):
@@ -652,6 +725,8 @@ def test_workers_are_capped_by_the_cpus(monkeypatch):
 
 def test_threads_need_fork(monkeypatch, capsys):
     monkeypatch.delattr(os, "fork")
+    with pytest.raises(OSError, match="os.fork"):
+        cli._map_shards(lambda first: first, 4, 2)
     assert cli.main(["avoid", "--n", "5", "--avoid", "321", "--threads", "2"]) == 1
     assert "os.fork" in capsys.readouterr().err
     single = _result(capsys, "avoid", "--n", "5", "--avoid", "321", "--count", "--threads", "1")

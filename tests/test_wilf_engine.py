@@ -391,9 +391,11 @@ def test_wrong_expected_partition_fails_both_ways(monkeypatch):
     for stat in ("ch", "maj"):
         with pytest.raises(VerificationError, match="does not match the expected one") as exc:
             verify_theorem3(6, stat)
-        assert exc.value.witness == st_wilf_classes(([s] for s in S3), stat, 6).classes
-        with pytest.raises(VerificationError, match="is split at n_max=5"):
+        # the witness is the whole report, so a failure prints as a passed check does
+        assert exc.value.witness == st_wilf_classes(([s] for s in S3), stat, 6)
+        with pytest.raises(VerificationError, match="is split at n_max=5") as exc:
             verify_theorem3(5, stat)
+        assert exc.value.witness == st_wilf_classes(([s] for s in S3), stat, 5)
 
 
 def test_verify_theorem4_small_n_max_only_requires_refinement():
