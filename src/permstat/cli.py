@@ -12,7 +12,10 @@ time.
 The library validates permutations and ballot words; argparse checks
 every other flag.  JSON output is deterministic: keys keep that fixed
 order (only elapsed_ms varies between identical runs), and polynomial
-coefficients are listed lowest degree first.
+coefficients are listed lowest degree first.  A result holds library
+values as the library returns them: str, int, bool and None, lists and
+tuples of them, and dicts keyed by str or int.  Every format writes a
+tuple as it writes a list, and an int key as its digits.
 
 Enumeration runs in this process unless --threads N >= 2 forks
 min(N, n, max(2, CPUs)) workers (POSIX only) over interleaved
@@ -128,25 +131,21 @@ def _fmt_set(patterns) -> str:
     return "+".join(_fmt_perm(t) for t in sorted(patterns))
 
 
-def _json_safe(value):
-    if isinstance(value, dict):
-        return {str(k): _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    return value
+# the values a renderer nests into; a tuple is written as a list is
+_NESTED = (dict, list, tuple)
 
 
 def _text_chunks(value, indent: str):
-    """The text lines of value, each ending in a newline; a flat list is one line."""
+    """The text lines of value, each ending in a newline; a flat list or tuple is one line."""
     if isinstance(value, dict):
         for k, v in value.items():
-            if isinstance(v, (dict, list)):
+            if isinstance(v, _NESTED):
                 yield f"{indent}{k}:\n"
                 yield from _text_chunks(v, indent + "  ")
             else:
                 yield f"{indent}{k}: {v}\n"
-    elif isinstance(value, list):
-        if all(not isinstance(v, (dict, list)) for v in value):
+    elif isinstance(value, (list, tuple)):
+        if all(not isinstance(v, _NESTED) for v in value):
             yield indent + " ".join(map(str, value)) + "\n"
         else:
             for v in value:
@@ -169,7 +168,7 @@ def _csv_rows(result: dict):
     if "passed" in result or not result.keys() & {"coefficients", "permutations", "classes"}:
         yield ["field", "value"]
         for k, v in result.items():
-            yield k, json.dumps(_json_safe(v)) if isinstance(v, (dict, list)) else v
+            yield k, json.dumps(v) if isinstance(v, _NESTED) else v
     elif "coefficients" in result:
         yield ["degree", "coefficient"]
         yield from enumerate(result["coefficients"])
@@ -315,7 +314,7 @@ def _cmd_stat(args):
     params = {"perm": _fmt_perm(p), "stat": args.stat}
     result = {"value": stat_function(args.stat)(p)}
     if args.stat == CHARGE:
-        result["charge_values"] = {str(v): c for v, c in sorted(charge_values(p).items())}
+        result["charge_values"] = charge_values(p)
     return params, result, EXIT_PASS
 
 
@@ -325,7 +324,7 @@ def _cmd_poly(args):
         "n": args.n,
         "avoid": _fmt_patterns(patterns),
         "stat": args.stat,
-        "fast": bool(args.fast),
+        "fast": args.fast,
         "threads": args.threads,
     }
     if args.fast:  # the route and bound classes takes, at this one size
@@ -343,7 +342,7 @@ def _cmd_avoid(args):
     params = {
         "n": args.n,
         "avoid": _fmt_patterns(patterns),
-        "count_only": bool(args.count),
+        "count_only": args.count,
         "threads": args.threads,
     }
     shard = functools.partial(_avoiders, args.n, patterns, args.count)
@@ -373,16 +372,15 @@ def _cmd_classes(args):
 
 
 def _coefficients(poly: StatPolynomial) -> dict:
-    return {"coefficients": list(poly.coeffs), "coefficient_sum": poly.total()}
+    return {"coefficients": poly.coeffs, "coefficient_sum": poly.total()}
 
 
 def _report_payload(report) -> dict:
     return {
-        "n_range": list(report.n_range),
+        "n_range": report.n_range,
         "classes": [[_fmt_set(member) for member in cls] for cls in report.classes],
         "witness_polynomials": {
-            _fmt_set(pi): [list(poly.coeffs) for poly in polys]
-            for pi, polys in sorted(report.witness_polynomials.items(), key=lambda kv: sorted(kv[0]))
+            _fmt_set(pi): [poly.coeffs for poly in polys] for pi, polys in report.witness_polynomials.items()
         },
     }
 
@@ -397,7 +395,7 @@ def _verify_lemma2(n):
     from .wilf_engine import verify_lemma2
 
     mapping = verify_lemma2(n)
-    correspondence = {_fmt_perm(s): _fmt_perm(t) for s, t in sorted(mapping.items())}
+    correspondence = {_fmt_perm(s): _fmt_perm(t) for s, t in mapping.items()}
     return {"passed": True, "correspondence": correspondence}
 
 
@@ -462,7 +460,7 @@ def _cmd_verify(args):
     except VerificationError as exc:
         result = {"passed": False, "error": str(exc)}
         if exc.witness is not None:
-            result["witness"] = _json_safe(exc.witness)
+            result["witness"] = exc.witness
     return {"target": args.target, **values}, result, EXIT_PASS if result["passed"] else EXIT_FAIL
 
 
@@ -472,12 +470,7 @@ def _cmd_rsk(args):
     p = parse_permutation(args.perm)
     P, Q = rsk_insert(p)
     params = {"perm": _fmt_perm(p)}
-    result = {
-        "shape": list(tableau_shape(P)),
-        "p_rows": [list(row) for row in P],
-        "q_rows": [list(row) for row in Q],
-    }
-    return params, result, EXIT_PASS
+    return params, {"shape": tableau_shape(P), "p_rows": P, "q_rows": Q}, EXIT_PASS
 
 
 def _cmd_involution(args):

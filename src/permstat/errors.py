@@ -14,7 +14,7 @@ class VerificationError(RuntimeError):
     """A mechanically checked identity failed.
 
     Carries a ``witness`` (a counterexample permutation or word, the two
-    disagreeing coefficient lists, or the report of a failed class check)
+    disagreeing coefficient tuples, or the report of a failed class check)
     when one is available.
     """
 

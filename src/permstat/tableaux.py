@@ -240,7 +240,10 @@ def syt_count_two_row_shape(n: int, r: int) -> int:
     return comb(n, r) - (comb(n, r - 1) if r >= 1 else 0)
 
 
-@functools.cache
+# Bounded, so that a caller ranking many long words keeps a fixed memo: a CLI
+# run at MAX_INVOLUTION_N looks up at most 1023 + 2047 + 1023 counts, and
+# verify_involution(15) stores 64, so neither reaches the bound.
+@functools.lru_cache(maxsize=1 << 13)
 def _completions(m: int, balance: int) -> int:
     """
     {1,2}-words of length m keeping balance + #1s - #2s >= 0 in every prefix.

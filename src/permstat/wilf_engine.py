@@ -85,8 +85,8 @@ class WilfClassReport(namedtuple("WilfClassReport", "stat n_range classes witnes
 
     Two candidates share a class exactly when their polynomial sequences
     agree for every n in n_range (inclusive).  Classes and members are
-    in a canonical sorted order.  witness_polynomials maps each candidate
-    to its StatPolynomial for each n.
+    in a canonical sorted order.  witness_polynomials maps each candidate,
+    in the candidates' canonical order, to its StatPolynomial for each n.
     """
 
     __slots__ = ()
@@ -178,7 +178,7 @@ def verify_lemma2(n: int) -> dict[Permutation, Permutation]:
     Returns the correspondence s -> f(s) (123->123, 132->213, 213->132,
     231->231, 312->312, 321->321) once each image set has been
     materialized and compared; a mismatch raises with a counterexample
-    permutation.  (At n <= 1 all six avoidance sets coincide, so the
+    permutation.  (At n <= 2 all six avoidance sets coincide, so the
     correspondence holds trivially.)
     """
     _check_size(n)
@@ -206,12 +206,17 @@ def _verify_classes(
     Partition the candidates and compare the result with classes stated for charge.
 
     For the major index each expected pattern set is replaced by its
-    f-image.  Below n_max = 6 accidental polynomial coincidences can
-    merge classes, so only refinement is required there: each expected
-    class must sit inside a single computed class.  From n_max = 6 on
-    the partition must match exactly.  A mismatch raises VerificationError
-    with the whole report as its witness.
+    f-image.  n_max below 3 is refused first: no length-3 pattern occurs
+    in a shorter permutation, so every candidate would have the same
+    polynomials and no stated class could fail.  Below n_max = 6
+    accidental polynomial coincidences can merge classes, so only
+    refinement is required there: each expected class must sit inside a
+    single computed class.  From n_max = 6 on the partition must match
+    exactly.  A mismatch raises VerificationError with the whole report
+    as its witness.
     """
+    if n_max < 3:
+        raise ValueError("n_max must be at least 3")
     canonical = parse_stat(stat)
     if canonical not in (CHARGE, MAJOR_INDEX):
         raise ValueError(f"no expected classes for statistic {canonical}")
@@ -253,8 +258,6 @@ def verify_theorem4(n_max: int, stat: str = CHARGE) -> WilfClassReport:
     {231,312} for charge, their f-images for the major index); every
     other class is a singleton.
     """
-    if n_max < 3:
-        raise ValueError("n_max must be at least 3")
     excluded = frozenset({(1, 2, 3), (3, 2, 1)})
     candidates = [pair for pair in map(frozenset, itertools.combinations(S3, 2)) if pair != excluded]
     quadruple = {frozenset(pair) for pair in _THEOREM4_CHARGE}

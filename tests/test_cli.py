@@ -285,6 +285,32 @@ def test_rsk_command():
     assert record["result"]["shape"] == [2, 1]
 
 
+def test_tuples_and_int_keys_render_as_lists_and_strings(capsys):
+    # library values reach the renderers as the library returns them: rsk's tuples, charge_values' int keys
+    expected = {
+        (("rsk", "--perm", "3,1,2,5,4"), "text"):
+            "command: rsk\n  perm: 3,1,2,5,4\nresult:\n  shape:\n    3 2\n  p_rows:\n    1 2 4\n    3 5\n"
+            "  q_rows:\n    1 3 4\n    2 5\nelapsed_ms: 0\n",
+        (("rsk", "--perm", "3,1,2,5,4"), "csv"):
+            'field,value\nshape,"[3, 2]"\np_rows,"[[1, 2, 4], [3, 5]]"\nq_rows,"[[1, 3, 4], [2, 5]]"\n',
+        (("stat", "--perm", "312", "--stat", "ch"), "text"):
+            "command: stat\n  perm: 3,1,2\n  stat: charge\nresult:\n  value: 1\n  charge_values:\n"
+            "    1: 0\n    2: 0\n    3: 1\nelapsed_ms: 0\n",
+        (("stat", "--perm", "312", "--stat", "ch"), "csv"):
+            'field,value\nvalue,1\ncharge_values,"{""1"": 0, ""2"": 0, ""3"": 1}"\n',
+    }
+    for (argv, fmt), text in expected.items():
+        code, out = _output(capsys, list(argv), fmt)
+        assert code == 0
+        assert _masked(out) == text, (argv, fmt)
+
+
+def test_class_checks_refuse_an_nmax_below_3(capsys):
+    for target in ("theorem3", "theorem4"):
+        assert cli.main(["verify", target, "--nmax", "2"]) == 1
+        assert capsys.readouterr() == ("", "permstat: error: n_max must be at least 3\n")
+
+
 def test_involution_command():
     record = run_json("involution", "--word", "112")
     assert record["result"]["image"] == "121"
@@ -934,7 +960,7 @@ def test_streamed_output_matches_the_whole_string_renderers(monkeypatch, capsys)
     from permstat.errors import VerificationError
 
     def broken(n):
-        raise VerificationError("identity failed", witness={(1, 3, 2): (2, 1, 3)})
+        raise VerificationError("identity failed", witness=((1, 1, 2, 1), (1, 2, 2)))  # as parity_polynomial raises
 
     monkeypatch.setattr("permstat.wilf_engine.verify_lemma2", broken)
     cases = [
@@ -987,7 +1013,7 @@ def test_streamed_output_matches_the_whole_string_renderers(monkeypatch, capsys)
     assert code == 2
     assert _masked(out) == (
         "command: verify\n  target: lemma2\n  n: 3\nresult:\n  passed: False\n  error: identity failed\n"
-        "  witness:\n    (1, 3, 2):\n      2 1 3\nelapsed_ms: 0\n"
+        "  witness:\n    1 1 2 1\n    1 2 2\nelapsed_ms: 0\n"
     )
 
 

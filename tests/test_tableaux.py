@@ -242,6 +242,24 @@ def test_completion_counts_match_a_path_walk():
         walks = [walks[b + 1] + (walks[b - 1] if b else 0) for b in range(len(walks) - 1)]
 
 
+def test_ranking_many_long_words_keeps_the_completion_memo_bounded():
+    import random
+
+    from permstat.tableaux import _completions
+
+    rng = random.Random(25)
+    for _ in range(20):
+        word, balance = [], 0
+        for _ in range(tableaux.MAX_INVOLUTION_N):
+            letter = 2 if balance and rng.random() < 0.5 else 1
+            word.append(letter)
+            balance += 1 if letter == 1 else -1
+        ballot_rank(word)
+    assert _completions.cache_info().currsize <= 8192
+    assert _completions.cache_info().maxsize == 8192
+    assert ballot_unrank(len(word), ballot_rank(word)) == tuple(word)
+
+
 def test_rank_and_unrank_round_trip_at_size_1023():
     n = 2**10 - 1
     last = count_two_row(n) - 1

@@ -406,6 +406,15 @@ def test_verify_theorem4_small_n_max_only_requires_refinement():
         verify_theorem4(2)
 
 
+def test_both_class_checks_refuse_an_n_max_where_nothing_can_fail():
+    # no length-3 pattern occurs below size 3, so every candidate has the same polynomials
+    for check in (verify_theorem3, verify_theorem4):
+        for n_max in (-1, 0, 1, 2):
+            for stat in ("ch", "maj", "inv"):
+                with pytest.raises(ValueError, match=r"^n_max must be at least 3$"):
+                    check(n_max, stat)
+
+
 def test_verification_error_carries_a_witness():
     try:
         raise VerificationError("boom", witness=(1, 2, 3))
