@@ -208,8 +208,10 @@ def contains_pattern(p: Sequence[int], pattern: Sequence[int]) -> bool:
     """
     True iff p has a subsequence order-isomorphic to pattern.
 
-    The pattern must be a permutation (ValueError otherwise).  A pattern
-    longer than p is never contained; the empty pattern is contained in
+    The pattern must be a permutation, and the host p a sequence of
+    distinct values, each at least 1, such as a permutation or (3, 7, 5)
+    (ValueError otherwise, the pattern checked first).  A pattern longer
+    than p is never contained; the empty pattern is contained in
     everything.  One left-to-right pass ORs the pattern's steps into the
     bitmask of values that would complete a copy; p contains the pattern
     iff some entry lands on that mask.
@@ -221,6 +223,8 @@ def contains_pattern(p: Sequence[int], pattern: Sequence[int]) -> bool:
     False
     """
     pat = check_permutation(pattern)
+    if p and (min(p) < 1 or len(set(p)) < len(p)):
+        raise ValueError(f"host {tuple(p)} must hold distinct values, each at least 1")
     if len(pat) > len(p):
         return False
     if len(pat) < 2:

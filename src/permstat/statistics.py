@@ -24,7 +24,7 @@ from collections import namedtuple
 from math import comb
 from typing import Callable, Iterable, Sequence
 
-from .errors import ExhaustionError
+from .errors import size_bound
 from .perm_core import Permutation, _forbidden_step, _live_next, _walk, f_image, normalize_patterns
 
 MAJOR_INDEX = "major_index"
@@ -208,6 +208,7 @@ def _length3_set(patterns: frozenset[Permutation]) -> bool:
 # holds up to 14 002 states per level and caches 121 305 moves of 46 364
 # (r, used) pairs.
 MAX_DP_NMAX = 20
+_check_sweep = size_bound(MAX_DP_NMAX, "MAX_DP_NMAX", "length-3 sweep", "n_max")
 
 
 def length3_polynomials(
@@ -240,10 +241,7 @@ def length3_polynomials(
     pats = normalize_patterns(patterns)
     if not _length3_set(pats):
         raise ValueError("the length-3 sweep takes a nonempty set of length-3 patterns")
-    if n_max < 0:
-        raise ValueError("n_max must be nonnegative")
-    if n_max > MAX_DP_NMAX:
-        raise ExhaustionError(f"n_max={n_max} exceeds the length-3 sweep bound MAX_DP_NMAX={MAX_DP_NMAX}")
+    _check_sweep(n_max)
     maj = canonical != INVERSIONS  # charge is tallied as the major index over the f-image
     searched = f_image(pats) if canonical == CHARGE else pats
     steps = [_forbidden_step(t, 2 * n_max + 1) for t in searched]  # a canonical prefix has <= 2r + 1 values

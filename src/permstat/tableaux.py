@@ -26,7 +26,7 @@ from itertools import chain
 from math import comb
 from typing import Iterator, Sequence
 
-from .errors import ExhaustionError, VerificationError
+from .errors import VerificationError, size_bound
 from .perm_core import Permutation, enumerate_avoiders
 from .statistics import CHARGE, MAJOR_INDEX, StatPolynomial, parse_stat, stat_polynomial
 
@@ -42,12 +42,17 @@ _PATTERN_321 = (3, 2, 1)
 # unranking a word take about six times as long per doubling of its length
 # (under half a second at 2047 letters), so ballot_rank refuses a word above
 # MAX_INVOLUTION_N once it has validated it, and ballot_unrank a length above
-# it before it counts words.  The involution check walks every word.
+# it before it counts words.  The involution check walks every word.  Each
+# bound's refusal is stated once, by errors.size_bound.
 MAX_PARITY_K = 7
 MAX_FAST_N = 2**MAX_PARITY_K - 1
 MAX_LEMMA5_K = 10
 MAX_INVOLUTION_N = 2**11 - 1
 MAX_INVOLUTION_WORDS = 2_000_000
+_check_parity_k = size_bound(MAX_PARITY_K, "MAX_PARITY_K", "supported", "k")
+_check_fast = size_bound(MAX_FAST_N, "MAX_FAST_N", "fast-route")
+_check_lemma5_k = size_bound(MAX_LEMMA5_K, "MAX_LEMMA5_K", "supported", "k")
+_check_length = size_bound(MAX_INVOLUTION_N, "MAX_INVOLUTION_N", "ballot-word", "length n")
 
 
 def tableau_shape(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
@@ -292,8 +297,8 @@ def ballot_rank(word: Sequence[int]) -> int:
 def ballot_unrank(n: int, r: int) -> BallotWord:
     """Inverse of ballot_rank: the rank-r two-row ballot word of length n.
 
-    Refuses n above MAX_INVOLUTION_N before it counts the words of that
-    length, then a rank out of range."""
+    Refuses a negative n, then n above MAX_INVOLUTION_N, before it counts
+    the words of that length, then a rank out of range."""
     _check_length(n)
     if not 0 <= r < count_two_row(n):
         raise ValueError(f"rank {r} out of range 0..{count_two_row(n) - 1} for n={n}")
@@ -340,12 +345,6 @@ def involution_phi(word: Sequence[int]) -> BallotWord:
     return ballot_unrank(len(word), rank ^ 1)
 
 
-def _check_length(n: int) -> None:
-    """Refuse a ballot-word length above MAX_INVOLUTION_N, in constant time."""
-    if n > MAX_INVOLUTION_N:
-        raise ExhaustionError(f"length n={n} exceeds the ballot-word bound MAX_INVOLUTION_N={MAX_INVOLUTION_N}")
-
-
 def _pairable_count(n: int) -> int:
     """The number of two-row words of length n, refused unless n is at most
     MAX_INVOLUTION_N (checked first, in constant time) and the number is even."""
@@ -359,10 +358,7 @@ def _pairable_count(n: int) -> int:
 def verify_involution(n: int) -> bool:
     """Check that the involution swaps each lexicographic pair (ranks 2t, 2t+1) of length n."""
     m = _pairable_count(n)
-    if m > MAX_INVOLUTION_WORDS:
-        raise ExhaustionError(
-            f"{m} two-row words at n={n} exceeds the exhaustive bound MAX_INVOLUTION_WORDS={MAX_INVOLUTION_WORDS}"
-        )
+    size_bound(MAX_INVOLUTION_WORDS, "MAX_INVOLUTION_WORDS", "exhaustive", f"count_two_row({n})")(m)
     words = enumerate_two_row_syt(n)
     for a, b in zip(words, words):  # one iterator twice: consecutive pairs
         for w, image in ((a, b), (b, a)):
@@ -371,13 +367,11 @@ def verify_involution(n: int) -> bool:
     return True
 
 
-def _parity_size(k: int, bound: int, name: str) -> int:
-    """The size 2**k - 1 of the parity statements, for k in 1..bound (the constant ``name``)."""
+def _parity_size(k: int, check) -> int:
+    """The size 2**k - 1 of the parity statements, for k from 1 up to the bound ``check`` holds it to."""
     if k < 1:
         raise ValueError("k must be positive")
-    if k > bound:
-        raise ExhaustionError(f"k={k} exceeds the supported bound {name}={bound}")
-    return 2**k - 1
+    return 2 ** check(k) - 1
 
 
 def lemma5_count(k: int) -> int:
@@ -391,7 +385,7 @@ def lemma5_count(k: int) -> int:
     C(n, r) (n-r) / (r+1).  For k <= 3 it is cross-checked against direct
     enumeration, and a disagreement raises VerificationError.
     """
-    n = _parity_size(k, MAX_LEMMA5_K, "MAX_LEMMA5_K")
+    n = _parity_size(k, _check_lemma5_k)
     total, below, binom = 0, 0, 1  # C(n, r - 1) and C(n, r), at r = 0
     for r in range(n // 2 + 1):
         total += (binom - below) ** 2
@@ -422,10 +416,7 @@ def two_row_maj_polynomials(n: int) -> list[list[int]]:
     >>> two_row_maj_polynomials(3)
     [[1], [0, 1, 1]]
     """
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > MAX_FAST_N:
-        raise ExhaustionError(f"n={n} exceeds the fast-route bound MAX_FAST_N={MAX_FAST_N}")
+    _check_fast(n)
     prev = [1]
     out = [prev]
     for r in range(1, n // 2 + 1):
@@ -489,7 +480,7 @@ def parity_polynomial(k: int, stat: str) -> StatPolynomial:
     coefficient sum against the Catalan number; a disagreement raises
     VerificationError.
     """
-    n = _parity_size(k, MAX_PARITY_K, "MAX_PARITY_K")
+    n = _parity_size(k, _check_parity_k)
     poly = fast_ch_321(n, stat)
     if k <= 3:
         brute = stat_polynomial(n, [_PATTERN_321], poly.stat)

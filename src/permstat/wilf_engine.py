@@ -24,7 +24,7 @@ import itertools
 from collections import namedtuple
 from typing import Callable, Iterable, Sequence
 
-from .errors import ExhaustionError, VerificationError
+from .errors import VerificationError, size_bound
 from .perm_core import (
     Permutation,
     all_permutations,
@@ -36,7 +36,7 @@ from .perm_core import (
 from .statistics import (
     CHARGE,
     MAJOR_INDEX,
-    MAX_DP_NMAX,
+    _check_sweep,
     _length3_set,
     charge,
     length3_polynomials,
@@ -48,6 +48,7 @@ from .statistics import (
 # Largest n the exhaustive checks of Lemmas 1 and 2 accept (9! = 362880
 # permutations), and the largest n_max of an enumerated st-Wilf candidate.
 MAX_EXHAUSTIVE = 9
+_check_exhaustive = size_bound(MAX_EXHAUSTIVE, "MAX_EXHAUSTIVE", "exhaustive")
 
 S3 = ((1, 2, 3), (1, 3, 2), (2, 1, 3), (2, 3, 1), (3, 1, 2), (3, 2, 1))
 
@@ -67,13 +68,6 @@ _THEOREM4_CHARGE = (
     ((1, 3, 2), (2, 3, 1)),
     ((2, 3, 1), (3, 1, 2)),
 )
-
-
-def _check_size(n: int, route: str = "exhaustive", name: str = "MAX_EXHAUSTIVE", bound: int = MAX_EXHAUSTIVE) -> None:
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n > bound:
-        raise ExhaustionError(f"n={n} exceeds the {route} bound {name}={bound}")
 
 
 def _set_key(patterns: frozenset[Permutation]) -> tuple[Permutation, ...]:
@@ -122,12 +116,12 @@ def polynomial_route(patterns: Iterable[Sequence[int]], stat: str, n_max: int) -
     if pats == {(3, 2, 1)} and canonical in (CHARGE, MAJOR_INDEX):
         from . import tableaux
 
-        _check_size(n_max, "fast-route", "MAX_FAST_N", tableaux.MAX_FAST_N)
+        tableaux._check_fast(n_max)
         return lambda sizes: tuple(tableaux.fast_ch_321(n, canonical) for n in sizes)
     if _length3_set(pats):
-        _check_size(n_max, "length-3 sweep", "MAX_DP_NMAX", MAX_DP_NMAX)
+        _check_sweep(n_max)
         return lambda sizes: length3_polynomials(sizes[-1], pats, canonical)[sizes[0]:]
-    _check_size(n_max)
+    _check_exhaustive(n_max)
     return lambda sizes: tuple(stat_polynomial(n, pats, canonical) for n in sizes)
 
 
@@ -166,9 +160,17 @@ def st_wilf_classes(
 
 
 def verify_lemma1(n: int) -> bool:
-    """Exhaustively check maj(p) == charge(f(p)) over all of S_n."""
-    _check_size(n)
-    return all(major_index(p) == charge(f_map(p)) for p in all_permutations(n))
+    """
+    Exhaustively check maj(p) == charge(f(p)) over all of S_n, streaming it.
+
+    The first p in lexicographic order where they differ raises
+    VerificationError with p as its witness.
+    """
+    _check_exhaustive(n)
+    for p in all_permutations(n):
+        if major_index(p) != charge(f_map(p)):
+            raise VerificationError(f"maj(p) != charge(f(p)) at n={n}; counterexample {p}", witness=p)
+    return True
 
 
 def verify_lemma2(n: int) -> dict[Permutation, Permutation]:
@@ -181,7 +183,7 @@ def verify_lemma2(n: int) -> dict[Permutation, Permutation]:
     permutation.  (At n <= 2 all six avoidance sets coincide, so the
     correspondence holds trivially.)
     """
-    _check_size(n)
+    _check_exhaustive(n)
     avoider_sets = {s: frozenset(enumerate_avoiders(n, [s])) for s in S3}
     mapping = {s: f_map(s) for s in S3}
     for source, target in mapping.items():

@@ -1,4 +1,5 @@
 import itertools
+import re
 from math import factorial
 
 import pytest
@@ -119,6 +120,21 @@ def test_contains_pattern_rejects_a_non_permutation_pattern():
     for pattern in ((2, 2, 1), (1, 1), (0, 1), (1, 3)):
         with pytest.raises(ValueError, match="not a permutation"):
             contains_pattern((1, 2, 3), pattern)
+
+
+def test_contains_pattern_refuses_a_host_outside_its_domain():
+    # the masks assume distinct host values of at least 1: (2, 1, 0) is a copy
+    # of 321, three equal values are part of no copy, and -1 is no bit position
+    for host, pattern in (((2, 1, 0), (3, 2, 1)), ((1, 1, 1, 3), (2, 3, 1, 4)), ((2, -1, 3), (1, 2))):
+        with pytest.raises(ValueError, match=rf"host {re.escape(str(host))} must hold distinct values"):
+            contains_pattern(host, pattern)
+    with pytest.raises(ValueError, match=r"host \(2, 1, 0\)"):
+        avoids_all((2, 1, 0), [(3, 2, 1)])
+    with pytest.raises(ValueError, match="not a permutation"):  # the pattern is checked first
+        contains_pattern((1, 1), (2, 2))
+    # distinct values of at least 1 that are no permutation are a host
+    assert contains_pattern((3, 7, 5), (1, 3, 2))
+    assert avoids_all((3, 7, 5), [(1, 2, 3), (3, 2, 1)])
 
 
 def test_contains_pattern_agrees_with_oracle():

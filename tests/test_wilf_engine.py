@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -325,6 +326,19 @@ def test_verify_lemma1_respects_the_exhaustion_bound():
         verify_lemma1(MAX_EXHAUSTIVE + 1)
     with pytest.raises(ValueError):
         verify_lemma1(-1)
+
+
+def test_a_failed_lemma1_names_its_first_counterexample(monkeypatch, capsys):
+    # charge is made wrong on the f-images of two permutations; the one that
+    # comes first in lexicographic order is the witness, in the library and the CLI
+    broken = {f_map((2, 1, 4, 3)), f_map((1, 4, 3, 2))}
+    monkeypatch.setattr(wilf_engine, "charge", lambda q: charge(q) + (q in broken))
+    with pytest.raises(VerificationError, match=r"counterexample \(1, 4, 3, 2\)") as caught:
+        verify_lemma1(4)
+    assert caught.value.witness == (1, 4, 3, 2)
+    assert cli.main(["verify", "lemma1", "--n", "4", "--format", "json"]) == 2
+    result = json.loads(capsys.readouterr().out)["result"]
+    assert result == {"passed": False, "error": str(caught.value), "witness": [1, 4, 3, 2]}
 
 
 def test_verify_lemma2_returns_the_correspondence():
